@@ -133,7 +133,7 @@ def cmd_index(args) -> int:
     docs, _, _ = _load_corpus_args(args)
     if args.trace:
         trace = crawler.read_trace(args.trace)
-        rank = args.rank if args.rank else len(trace)
+        rank = len(trace) if args.rank is None else args.rank
         doc_ids = crawler.trace_prefix(trace, rank)
     else:
         doc_ids = set(docs)

@@ -135,7 +135,12 @@ def write_trace(trace: CrawlTrace, path: str) -> None:
 
 
 def read_trace(path: str) -> CrawlTrace:
-    """Parse a trace file written by write_trace."""
+    """Parse a trace file written by write_trace.
+
+    Ranks run 1, 2, ... with no doc_id repeated, every priority is a float
+    or the sentinel, and checkpoint ranks increase strictly within
+    1..len(trace).
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("#checkpoints"):
@@ -146,6 +151,7 @@ def read_trace(path: str) -> CrawlTrace:
     except ValueError:
         raise CorpusFormatError(f"{path}:1: non-integer checkpoint rank") from None
     entries: list[tuple[int, str, float | None]] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -159,13 +165,34 @@ def read_trace(path: str) -> CrawlTrace:
             raise CorpusFormatError(f"{path}:{lineno}: non-integer rank") from None
         if rank != len(entries) + 1:
             raise CorpusFormatError(f"{path}:{lineno}: ranks must increase by 1")
-        priority = None if cell == PRIORITY_SENTINEL else float(cell)
+        if doc_id in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        try:
+            priority = None if cell == PRIORITY_SENTINEL else float(cell)
+        except ValueError:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: priority must be a float or {PRIORITY_SENTINEL!r}"
+            ) from None
         entries.append((rank, doc_id, priority))
+    previous = 0
+    for checkpoint in checkpoints:
+        if checkpoint <= previous or checkpoint > len(entries):
+            raise CorpusFormatError(
+                f"{path}:1: checkpoint ranks must increase strictly within "
+                f"1..{len(entries)}; got {checkpoints}"
+            )
+        previous = checkpoint
     return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
+
+
+def check_rank(trace: CrawlTrace, rank: int) -> None:
+    """Raise ValueError unless 1 <= rank <= len(trace)."""
+    if rank < 1 or rank > len(trace.entries):
+        raise ValueError(f"rank {rank} out of range 1..{len(trace.entries)}")
 
 
 def trace_prefix(trace: CrawlTrace, rank: int) -> set[str]:
     """doc_ids of the first ``rank`` crawled pages."""
-    if rank < 1 or rank > len(trace.entries):
-        raise ValueError(f"rank {rank} out of range 1..{len(trace.entries)}")
+    check_rank(trace, rank)
     return {doc_id for _, doc_id, _ in trace.entries[:rank]}

@@ -5,6 +5,13 @@ Lucene-style BM25 with k1=1.2, b=0.75 and idf(t) = ln(1 + (N-df+0.5)/(df+0.5)),
 which keeps idf strictly positive for every indexed term. Recall@k counts
 all judged-relevant documents in the denominator, crawled or not, so the
 metric measures crawl coverage rather than pure ranking quality.
+
+Checkpoint evaluation follows each trace once. Checkpoint prefixes are
+nested, so one index per strategy grows by the pages between consecutive
+checkpoints, holding postings only for query terms and the length of every
+page; each page is tokenised once per evaluation. N, df, dl and avgdl all
+come from integer counts, so every score equals the one an index rebuilt
+from scratch over the prefix would give.
 """
 
 from __future__ import annotations
@@ -12,13 +19,14 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from scipy.special import betainc
 
 from .corpus import DocumentRecord
-from .crawler import CrawlTrace, trace_prefix
+from .crawler import CrawlTrace, check_rank
 from .errors import CorpusFormatError, SkippedQuery, UnknownDoc
 
 K1 = 1.2
@@ -50,28 +58,35 @@ class InvertedIndex:
     avgdl: float = 0.0
 
 
+def _term_counts(corpus: dict[str, DocumentRecord], doc_id: str) -> tuple[int, Counter[str]]:
+    """Token count and term frequencies of one corpus document."""
+    if doc_id not in corpus:
+        raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
+    tokens = tokenize(corpus[doc_id].text)
+    return len(tokens), Counter(tokens)
+
+
+def _set_collection_stats(index: InvertedIndex) -> None:
+    """Set N and avgdl from the lengths of the indexed documents."""
+    total_tokens = sum(index.doc_lengths.values())
+    if total_tokens == 0:
+        raise ValueError("every document in the index has zero tokens")
+    index.doc_count = len(index.doc_lengths)
+    index.avgdl = total_tokens / index.doc_count
+
+
 def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
     """Index exactly the given doc_ids (zero-token docs count with length 0)."""
     ids = sorted(doc_ids)
     if not ids:
         raise ValueError("cannot build an index over an empty doc_id set")
     index = InvertedIndex()
-    total_tokens = 0
     for doc_id in ids:
-        if doc_id not in corpus:
-            raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
-        tokens = tokenize(corpus[doc_id].text)
-        index.doc_lengths[doc_id] = len(tokens)
-        total_tokens += len(tokens)
-        tf: dict[str, int] = {}
-        for tok in tokens:
-            tf[tok] = tf.get(tok, 0) + 1
+        length, tf = _term_counts(corpus, doc_id)
+        index.doc_lengths[doc_id] = length
         for term, count in tf.items():
             index.postings.setdefault(term, {})[doc_id] = count
-    if total_tokens == 0:
-        raise ValueError("every document in the index has zero tokens")
-    index.doc_count = len(ids)
-    index.avgdl = total_tokens / len(ids)
+    _set_collection_stats(index)
     return index
 
 
@@ -80,18 +95,23 @@ def _idf(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
+def _term_weight(idf: float, tf: int, dl: int, avgdl: float) -> float:
+    """BM25 weight of a term occurring tf times in a document of length dl."""
+    norm = K1 * (1.0 - B + B * dl / avgdl)
+    return idf * tf * (K1 + 1.0) / (tf + norm)
+
+
 def bm25_score(index: InvertedIndex, query_terms, doc_id: str) -> float:
     """BM25 score of one document; distinct query terms, absent terms add 0."""
     if doc_id not in index.doc_lengths:
         raise UnknownDoc(f"doc_id not in index: {doc_id!r}")
     dl = index.doc_lengths[doc_id]
-    norm = K1 * (1.0 - B + B * dl / index.avgdl)
     score = 0.0
     for term in _distinct(query_terms):
         tf = index.postings.get(term, {}).get(doc_id, 0)
         if tf == 0:
             continue
-        score += _idf(index, term) * tf * (K1 + 1.0) / (tf + norm)
+        score += _term_weight(_idf(index, term), tf, dl, index.avgdl)
     return score
 
 
@@ -106,9 +126,8 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
             continue
         idf = _idf(index, term)
         for doc_id, tf in posting.items():
-            dl = index.doc_lengths[doc_id]
-            norm = K1 * (1.0 - B + B * dl / index.avgdl)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (K1 + 1.0) / (tf + norm)
+            weight = _term_weight(idf, tf, index.doc_lengths[doc_id], index.avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + weight
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -288,6 +307,39 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _prefix_indexes(
+    corpus: dict[str, DocumentRecord],
+    trace: CrawlTrace,
+    checkpoints: list[int],
+    vocabulary: set[str],
+    counted: dict[str, tuple[int, dict[str, int]]],
+):
+    """Yield (checkpoint, index) for each of the ascending checkpoints.
+
+    One index grows by the pages between consecutive checkpoints and is
+    yielded each time. It holds the length of every page in the prefix but
+    postings only for the ``vocabulary`` terms, so it ranks queries over
+    those terms as build_index over the prefix would. ``counted`` caches
+    each page's (length, vocabulary-term tf) and may be shared across traces.
+    """
+    index = InvertedIndex()
+    indexed = 0
+    for checkpoint in checkpoints:
+        check_rank(trace, checkpoint)
+        # visited sorted, as build_index does, so an unknown doc_id is reported alike
+        for doc_id in sorted(d for _, d, _ in trace.entries[indexed:checkpoint]):
+            if doc_id not in counted:
+                length, tf = _term_counts(corpus, doc_id)
+                counted[doc_id] = (length, {t: n for t, n in tf.items() if t in vocabulary})
+            length, vocabulary_tf = counted[doc_id]
+            index.doc_lengths[doc_id] = length
+            for term, n in vocabulary_tf.items():
+                index.postings.setdefault(term, {})[doc_id] = n
+        indexed = checkpoint
+        _set_collection_stats(index)
+        yield checkpoint, index
+
+
 def evaluate_checkpoints(
     corpus: dict[str, DocumentRecord],
     traces: dict[str, CrawlTrace],
@@ -297,9 +349,19 @@ def evaluate_checkpoints(
     alpha: float = 0.01,
 ) -> EvalReport:
     """Index every common checkpoint prefix, run all evaluable queries,
-    and test pairwise significance across strategies per checkpoint."""
+    and test pairwise significance across strategies per checkpoint.
+
+    The report is the one that rebuilding a full index over every prefix
+    would give, and fails with the same errors at the same (strategy,
+    checkpoint). A trace that lists a doc_id twice is rejected.
+    """
     if not traces:
         raise ValueError("need at least one trace")
+    for strategy in sorted(traces):
+        doc_ids = traces[strategy].doc_ids()
+        if len(set(doc_ids)) != len(doc_ids):
+            repeated = next(d for d, n in Counter(doc_ids).items() if n > 1)
+            raise ValueError(f"trace {strategy!r} lists doc_id {repeated!r} twice")
     common = set.intersection(*(set(t.checkpoint_ranks) for t in traces.values()))
     if not common:
         raise ValueError("traces have no common checkpoints")
@@ -308,16 +370,16 @@ def evaluate_checkpoints(
     if not eval_qids:
         raise ValueError("no query has judged-relevant documents")
     query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
+    vocabulary = {term for terms in query_terms.values() for term in terms}
+    counted: dict[str, tuple[int, dict[str, int]]] = {}
 
     strategies = sorted(traces)
     recall_rows: list[RecallRow] = []
     significance_rows: list[SignificanceRow] = []
     per_checkpoint_scores: dict[int, dict[str, list[float]]] = {c: {} for c in checkpoints}
     for strategy in strategies:
-        trace = traces[strategy]
-        for checkpoint in checkpoints:
-            prefix = trace_prefix(trace, checkpoint)
-            index = build_index(corpus, prefix)
+        prefixes = _prefix_indexes(corpus, traces[strategy], checkpoints, vocabulary, counted)
+        for checkpoint, index in prefixes:
             per_query: dict[str, float] = {}
             for qid in eval_qids:
                 ranked = search_topk(index, query_terms[qid], k)

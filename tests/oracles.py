@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here deliberately avoids the library's own code paths: textbook
-queue/stack crawls, an O(n^2) frontier scan, Simpson integration of the
-Student-t density, a full-scan hexagonal assigner, and a from-scratch BM25
-recomputation.
+Almost everything here deliberately avoids the library's own code paths:
+textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
+the Student-t density, a full-scan hexagonal assigner, and a from-scratch
+BM25 recomputation. The one exception is the checkpoint evaluator, which
+rebuilds a full index per prefix from the library's own ``build_index`` and
+``search_topk``, so that it checks only the incremental indexing.
 """
 
 from __future__ import annotations
@@ -184,3 +186,58 @@ def bm25_from_scratch(texts, query_terms, doc_id, tokenizer):
         norm = 1.2 * (1.0 - 0.75 + 0.75 * len(doc_tokens) / avgdl)
         score += idf * tf * (1.2 + 1.0) / (tf + norm)
     return score
+
+
+def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=0.01):
+    """Checkpoint evaluation that rebuilds the whole index for every
+    (strategy, checkpoint) prefix with ``trace_prefix`` and ``build_index``."""
+    from qcrawl.crawler import trace_prefix
+    from qcrawl.retrieval import (
+        EvalReport,
+        RecallRow,
+        SignificanceRow,
+        build_index,
+        paired_t_test_bonferroni,
+        recall_at_k,
+        relevant_docs,
+        search_topk,
+        tokenize,
+    )
+
+    if not traces:
+        raise ValueError("need at least one trace")
+    common = set.intersection(*(set(t.checkpoint_ranks) for t in traces.values()))
+    if not common:
+        raise ValueError("traces have no common checkpoints")
+    checkpoints = sorted(common)
+    eval_qids = sorted(q for q in queries if relevant_docs(qrels, q))
+    if not eval_qids:
+        raise ValueError("no query has judged-relevant documents")
+    query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
+
+    strategies = sorted(traces)
+    recall_rows = []
+    per_checkpoint_scores = {c: {} for c in checkpoints}
+    for strategy in strategies:
+        for checkpoint in checkpoints:
+            index = build_index(corpus, trace_prefix(traces[strategy], checkpoint))
+            per_query = {}
+            for qid in eval_qids:
+                ranked = search_topk(index, query_terms[qid], k)
+                per_query[qid] = recall_at_k(ranked, qrels, qid, k)
+            mean = sum(per_query.values()) / len(eval_qids)
+            recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))
+            per_checkpoint_scores[checkpoint][strategy] = [per_query[q] for q in eval_qids]
+
+    significance_rows = []
+    if len(strategies) >= 2 and len(eval_qids) >= 2:
+        for checkpoint in checkpoints:
+            tests = paired_t_test_bonferroni(per_checkpoint_scores[checkpoint], alpha)
+            for pair in sorted(tests):
+                res = tests[pair]
+                significance_rows.append(
+                    SignificanceRow(
+                        checkpoint, pair, res.t_stat, res.p_raw, res.p_corrected, res.significant
+                    )
+                )
+    return EvalReport(k, alpha, eval_qids, recall_rows, significance_rows)

@@ -141,6 +141,22 @@ class TestIndex:
         stats = json.loads(capsys.readouterr().out)
         assert stats["documents"] == 2
 
+    def test_rank_zero_is_an_error(self, corpus_files, capsys):
+        trace = corpus_files["dir"] / "trace.tsv"
+        main(
+            ["crawl", "--input", corpus_files["corpus"], "--seeds", corpus_files["seeds"],
+             "--strategy", "bfs", "--budget", "10", "--checkpoint-interval", "2",
+             "--output", str(trace)]
+        )
+        capsys.readouterr()
+        rc = main(
+            ["index", "--input", corpus_files["corpus"], "--trace", str(trace), "--rank", "0"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank 0 out of range 1..5" in captured.err
+
 
 class TestEval:
     def _crawl(self, corpus_files, strategy, out):

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qcrawl import (
+    CorpusFormatError,
     MissingScore,
     UnknownDoc,
     build_corpus,
@@ -171,6 +174,40 @@ class TestTraceIO:
         write_trace(trace, str(path))
         order = textbook_bfs(graph.adjacency, ["a"], 10)
         assert path.read_bytes() == trace_file_bytes(order, 3)
+
+
+class TestTraceValidation:
+    def _write(self, tmp_path, text):
+        path = tmp_path / "trace.tsv"
+        path.write_text(text)
+        return str(path)
+
+    def test_duplicate_doc_id_names_second_line(self, tmp_path):
+        path = self._write(tmp_path, "#checkpoints\t2\t3\n1\ta\t-\n2\tb\t-\n3\ta\t-\n")
+        expected = rf"^{re.escape(path)}:4: duplicate doc_id 'a'"
+        with pytest.raises(CorpusFormatError, match=expected):
+            read_trace(path)
+
+    def test_non_float_priority(self, tmp_path):
+        path = self._write(tmp_path, "#checkpoints\t2\n1\ta\t-1.5\n2\tb\tbad\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:3: "):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "ranks",
+        ["0\t2", "3", "1\t3", "2\t1", "1\t1"],
+        ids=["zero", "past_end", "one_past_end", "decreasing", "repeated"],
+    )
+    def test_bad_checkpoint_ranks(self, tmp_path, ranks):
+        path = self._write(tmp_path, f"#checkpoints\t{ranks}\n1\ta\t-\n2\tb\t-\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:1: "):
+            read_trace(path)
+
+    def test_valid_ranks_accepted(self, tmp_path):
+        path = self._write(tmp_path, "#checkpoints\t1\t2\n1\ta\t-\n2\tb\t0.5\n")
+        trace = read_trace(path)
+        assert trace.checkpoint_ranks == [1, 2]
+        assert trace.entries == [(1, "a", None), (2, "b", 0.5)]
 
 
 class TestPrefix:

@@ -1,10 +1,16 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
+    CrawlTrace,
+    QCrawlError,
     SkippedQuery,
     UnknownDoc,
     bm25_score,
@@ -21,10 +27,12 @@ from qcrawl import (
     synthetic_corpus,
     t_p_value,
     tokenize,
+    trace_prefix,
 )
 from qcrawl.quality import ScorerConfig
+from qcrawl.retrieval import _prefix_indexes
 
-from oracles import bm25_from_scratch, student_t_two_sided_p
+from oracles import bm25_from_scratch, reference_evaluate_checkpoints, student_t_two_sided_p
 
 
 def _corpus(texts):
@@ -340,3 +348,125 @@ class TestEvaluateCheckpoints:
         n_checkpoints = len({o["checkpoint"] for o in objs if o["type"] == "recall"})
         assert sum(o["type"] == "recall" for o in objs) == 3 * n_checkpoints
         assert sum(o["type"] == "significance" for o in objs) == 3 * n_checkpoints
+
+    def test_duplicate_doc_id_in_trace(self):
+        corpus, traces, queries, qrels = self._setup()
+        entries = traces["bfs"].entries[:4]
+        doubled = CrawlTrace(entries=entries + [(5, entries[1][1], None)], checkpoint_ranks=[5])
+        with pytest.raises(ValueError, match="twice"):
+            evaluate_checkpoints(corpus, {"bfs": doubled}, queries, qrels, k=100)
+
+
+def _outcome(evaluate, *args, **kwargs):
+    """Report bytes on success, (exception type, message) on a failure."""
+    try:
+        return evaluate(*args, **kwargs).to_jsonl().encode("utf-8")
+    except (QCrawlError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIncrementalMatchesRebuild:
+    """evaluate_checkpoints grows one index along each trace; the oracle
+    rebuilds one per (strategy, checkpoint). Reports must be byte-equal."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rng_seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(16, 60),
+        interval=st.integers(2, 12),
+        budget_frac=st.floats(0.2, 1.0),
+        zero_frac=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    )
+    def test_random_graphs_report_bytes_equal(
+        self, rng_seed, n_nodes, interval, budget_frac, zero_frac
+    ):
+        rows, queries, qrels, seeds = synthetic_corpus(
+            n_nodes=n_nodes, n_queries=4, rel_per_query=2, n_seeds=3, rng_seed=rng_seed
+        )
+        corpus, graph, _ = build_corpus(rows)
+        scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+        rng = np.random.default_rng(rng_seed)
+        ids = sorted(corpus)
+        # a query over filler terms: many partial matches with varied tf
+        picked = rng.choice(len(ids), size=3, replace=False)
+        queries["qmix"] = " ".join(tokenize(corpus[ids[i]].text)[0] for i in picked)
+        qrels["qmix"] = {ids[i]: 1 for i in picked[:2]}
+        # zero-token pages: empty or punctuation-only text
+        blank = rng.random(len(ids)) < zero_frac
+        rows = [
+            dict(row, text=("" if i % 2 else "-- !!")) if blank[i] else row
+            for i, row in enumerate(rows)
+        ]
+        corpus, _, _ = build_corpus(rows)
+        budget = max(1, int(budget_frac * n_nodes))
+        traces = {
+            strategy: run_crawl(
+                graph, seeds, strategy, budget=budget, checkpoint_interval=interval,
+                scores=scores if strategy == "qoracle" else None,
+            )
+            for strategy in ("bfs", "dfs", "qoracle")
+        }
+        args = (corpus, traces, queries, qrels)
+        for k in (1, 5, 100):
+            expected = _outcome(reference_evaluate_checkpoints, *args, k=k)
+            assert _outcome(evaluate_checkpoints, *args, k=k) == expected
+
+        # Recall hides score changes that keep the top k; compare indexes and full rankings
+        query_terms = [tokenize(text) for text in queries.values()]
+        vocabulary = {term for terms in query_terms for term in terms}
+        for trace in traces.values():
+            grown = _prefix_indexes(corpus, trace, trace.checkpoint_ranks, vocabulary, {})
+            for checkpoint in trace.checkpoint_ranks:
+                try:
+                    rebuilt = build_index(corpus, trace_prefix(trace, checkpoint))
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        next(grown)
+                    break
+                at, index = next(grown)
+                assert at == checkpoint
+                assert index == replace(
+                    rebuilt,
+                    postings={t: p for t, p in rebuilt.postings.items() if t in vocabulary},
+                )
+                for terms in query_terms:
+                    ranked = search_topk(rebuilt, terms, n_nodes)
+                    assert search_topk(index, terms, n_nodes) == ranked
+
+    def _hand_case(self, texts, order, checkpoints):
+        corpus = _corpus(texts)
+        trace = CrawlTrace(
+            entries=[(r, d, None) for r, d in enumerate(order, start=1)],
+            checkpoint_ranks=checkpoints,
+        )
+        queries = {"q1": "a b", "q2": "c"}
+        qrels = {"q1": {"d1": 1}, "q2": {"d3": 1}}
+        args = (corpus, {"bfs": trace, "dfs": trace}, queries, qrels)
+        expected = _outcome(reference_evaluate_checkpoints, *args)
+        return expected, _outcome(evaluate_checkpoints, *args)
+
+    def test_unknown_doc_parity(self):
+        texts = {"d1": "a b", "d2": "c", "d3": "a c"}
+        # both unknown pages enter in the second segment; the first in sorted order is named
+        expected, got = self._hand_case(texts, ["d1", "d2", "zz", "yy", "d3"], [2, 4, 5])
+        assert expected == (UnknownDoc, "doc_id not in corpus: 'yy'")
+        assert got == expected
+
+    def test_all_zero_token_prefix_parity(self):
+        texts = {"d1": "", "d2": "--", "d3": "a c"}
+        expected, got = self._hand_case(texts, ["d1", "d2", "d3"], [2, 3])
+        assert expected == (ValueError, "every document in the index has zero tokens")
+        assert got == expected
+
+    def test_checkpoint_out_of_range_parity(self):
+        texts = {"d1": "a b", "d2": "c", "d3": "a c"}
+        for checkpoints in ([0, 2], [2, 4]):
+            expected, got = self._hand_case(texts, ["d1", "d2", "d3"], checkpoints)
+            assert expected[0] is ValueError and "out of range" in expected[1]
+            assert got == expected
+
+    def test_zero_token_pages_and_unmatched_pages(self):
+        texts = {"d1": "", "d2": "x y z", "d3": "a c", "d4": "!!", "d1x": "b b a"}
+        expected, got = self._hand_case(texts, ["d2", "d1", "d4", "d3", "d1x"], [1, 3, 4, 5])
+        assert isinstance(expected, bytes)
+        assert got == expected
