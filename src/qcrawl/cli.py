@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -77,17 +78,8 @@ def cmd_score(args) -> int:
             raise QCrawlError(
                 f"record {row['doc_id']!r} already has a quality_score field"
             )
-        if table is not None:
-            if row["doc_id"] not in table:
-                raise QCrawlError(f"no table entry for {row['doc_id']!r}")
-            score = table[row["doc_id"]]
-        else:
-            try:
-                score = quality.score_text_reference(row["text"])
-            except QCrawlError:
-                raise QCrawlError(f"record {row['doc_id']!r} has zero tokens") from None
         out_row = dict(row)
-        out_row["quality_score"] = score
+        out_row["quality_score"] = quality.score_record(table, row["doc_id"], row["text"])
         scored.append(out_row)
     if out_fmt == "jsonl":
         _write_rows_jsonl(scored, args.output)
@@ -208,9 +200,11 @@ def _stats_histograms(tables: dict[str, dict[str, float]], bins: int):
     return hists, payload
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def cmd_stats(args) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables: dict[str, dict[str, float]] = {}
     for path in args.scores:
         label = Path(path).stem
@@ -218,25 +212,20 @@ def cmd_stats(args) -> int:
             raise QCrawlError(f"duplicate score-table label {label!r}; rename the files")
         tables[label] = quality.load_score_table(path)
 
-    written = []
+    # Every output is computed before the directory or any file is written,
+    # so a failing run leaves nothing behind.
+    outputs: dict[str, str] = {}
     skipped = {}
 
     hists, hist_payload = _stats_histograms(tables, args.bins)
-    (out_dir / "histograms.json").write_text(
-        json.dumps(hist_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    written.append("histograms.json")
+    outputs["histograms.json"] = _json_text(hist_payload)
 
     if len(tables) >= 2:
         labels = sorted(tables)
         matrix = {
             a: {b: analytics.js_distance(hists[a], hists[b]) for b in labels} for a in labels
         }
-        (out_dir / "js_matrix.json").write_text(
-            json.dumps({"labels": labels, "distance": matrix}, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        written.append("js_matrix.json")
+        outputs["js_matrix.json"] = _json_text({"labels": labels, "distance": matrix})
     else:
         skipped["js_matrix"] = "need at least two score tables"
 
@@ -271,45 +260,38 @@ def cmd_stats(args) -> int:
                 "relevant": analytics.quartiles(rel),
                 "irrelevant": analytics.quartiles(irr),
             }
-        (out_dir / "relevance_split.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        written.append("relevance_split.json")
+        outputs["relevance_split.json"] = _json_text(payload)
     else:
         skipped["relevance_split"] = "no qrels given"
 
     if args.input:
         _, graph, _ = _load_corpus_args(args)
         report, points = analytics.correlation_study(graph, first_table)
-        (out_dir / "correlation.json").write_text(
-            json.dumps(
-                {
-                    "table": first_label,
-                    "pearson_r": report.pearson_r,
-                    "ols_slope": report.ols_slope,
-                    "ols_intercept": report.ols_intercept,
-                    "n": report.n,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
+        outputs["correlation.json"] = _json_text(
+            {
+                "table": first_label,
+                "pearson_r": report.pearson_r,
+                "ols_slope": report.ols_slope,
+                "ols_intercept": report.ols_intercept,
+                "n": report.n,
+            }
         )
-        written.append("correlation.json")
         grid = analytics.hexbin(points, args.gridsize, args.min_count)
-        with open(out_dir / "hexbin.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["center_x", "center_y", "count"])
-            for cx, cy, count in grid.cells:
-                writer.writerow([repr(cx), repr(cy), count])
-        written.append("hexbin.csv")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["center_x", "center_y", "count"])
+        writer.writerows([repr(cx), repr(cy), count] for cx, cy, count in grid.cells)
+        outputs["hexbin.csv"] = buf.getvalue()
     else:
         skipped["correlation"] = "no corpus given"
 
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
     print(
         json.dumps(
-            {"output_dir": str(out_dir), "written": written, "skipped": skipped},
+            {"output_dir": str(out_dir), "written": list(outputs), "skipped": skipped},
             sort_keys=True,
         )
     )
@@ -397,20 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flag tokens; flags given explicitly win."""
-    if "--config" not in argv:
+    """Expand --config FILE (or --config=FILE) into flag tokens; flags given
+    explicitly, as --flag VALUE or --flag=VALUE, win."""
+    flags = [token.partition("=")[0] for token in argv]
+    if "--config" not in flags:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    with open(argv[at + 1], encoding="utf-8") as fh:
+    at = flags.index("--config")
+    _, has_value, path = argv[at].partition("=")
+    if not has_value:
+        if at + 1 >= len(argv):
+            return argv  # let argparse report the missing value
+        path = argv[at + 1]
+    with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise QCrawlError("config file must hold a JSON object")
     tokens: list[str] = []
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
-        if flag in argv:
+        if flag in flags:
             continue
         if isinstance(value, bool):
             if value:

@@ -1,23 +1,31 @@
 """Deterministic crawl simulation over a stored web graph.
 
-Three frontier disciplines: bfs (FIFO over discovery order), dfs (LIFO,
-outlinks pushed in reverse adjacency order so the first-listed link is
-crawled next), and qoracle (max quality score first, ties broken by
-discovery order then doc_id). A page is discovered at most once; its
-priority is fixed at discovery time and never revised.
+Every strategy crawls from one heap frontier; only the sort key differs.
+A page's key is fixed when it is discovered, with seq counting discoveries:
+bfs keys by seq (first discovered, first crawled), dfs by -seq (newest
+first; outlinks are discovered in reverse adjacency order, so the
+first-listed link is crawled next), and qoracle by (-score, seq) (highest
+quality score first, ties broken by discovery order). A page is
+discovered at most once; its priority is never revised.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .corpus import WebGraph
 from .errors import CorpusFormatError, MissingScore, UnknownDoc
 
-STRATEGIES = ("bfs", "dfs", "qoracle")
+# Frontier sort key per strategy, fixed when a page is discovered. seq counts
+# discoveries, so every key is unique and heap entries never compare doc_ids.
+_FRONTIER_KEYS = {
+    "bfs": lambda seq, priority: seq,
+    "dfs": lambda seq, priority: -seq,
+    "qoracle": lambda seq, priority: (-priority, seq),
+}
+STRATEGIES = tuple(_FRONTIER_KEYS)
 
 PRIORITY_SENTINEL = "-"
 
@@ -59,61 +67,33 @@ def run_crawl(
         if seed not in graph:
             raise UnknownDoc(f"seed not in graph: {seed!r}")
 
-    def priority_of(doc_id: str) -> float | None:
-        if strategy != "qoracle":
-            return None
-        assert scores is not None
-        if doc_id not in scores:
-            raise MissingScore(f"no quality score for {doc_id!r}")
-        value = scores[doc_id]
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite quality score for {doc_id!r}")
-        return value
-
-    fifo: deque[str] = deque()
-    stack: list[str] = []
-    heap: list[tuple[float, int, str]] = []
+    table = scores if strategy == "qoracle" else None
+    key_of = _FRONTIER_KEYS[strategy]
+    successors_in_order = reversed if strategy == "dfs" else iter
+    frontier: list[tuple[object, str, float | None]] = []
     discovered: set[str] = set()
-    next_seq = 0
-    priorities: dict[str, float | None] = {}
 
     def discover(doc_id: str) -> None:
-        nonlocal next_seq
         if doc_id in discovered:
             return
+        priority = None
+        if table is not None:
+            if doc_id not in table:
+                raise MissingScore(f"no quality score for {doc_id!r}")
+            priority = table[doc_id]
+            if not math.isfinite(priority):
+                raise ValueError(f"non-finite quality score for {doc_id!r}")
+        heapq.heappush(frontier, (key_of(len(discovered), priority), doc_id, priority))
         discovered.add(doc_id)
-        p = priority_of(doc_id)
-        priorities[doc_id] = p
-        if strategy == "bfs":
-            fifo.append(doc_id)
-        elif strategy == "dfs":
-            stack.append(doc_id)
-        else:
-            heapq.heappush(heap, (-p, next_seq, doc_id))
-        next_seq += 1
 
     for seed in seeds:
         discover(seed)
 
     entries: list[tuple[int, str, float | None]] = []
-    while len(entries) < budget:
-        if strategy == "bfs":
-            if not fifo:
-                break
-            doc_id = fifo.popleft()
-        elif strategy == "dfs":
-            if not stack:
-                break
-            doc_id = stack.pop()
-        else:
-            if not heap:
-                break
-            _, _, doc_id = heapq.heappop(heap)
-        entries.append((len(entries) + 1, doc_id, priorities[doc_id]))
-        successors = graph.adjacency.get(doc_id, [])
-        if strategy == "dfs":
-            successors = list(reversed(successors))
-        for target in successors:
+    while frontier and len(entries) < budget:
+        _, doc_id, priority = heapq.heappop(frontier)
+        entries.append((len(entries) + 1, doc_id, priority))
+        for target in successors_in_order(graph.adjacency.get(doc_id, ())):
             discover(target)
 
     total = len(entries)

@@ -69,23 +69,25 @@ def write_score_table(table: dict[str, float], path: str) -> None:
             fh.write(f"{doc_id}\t{score!r}\n")
 
 
+def score_record(table: dict[str, float] | None, doc_id: str, text: str) -> float:
+    """Score one record: its table entry, or the reference score of its
+    text when table is None. Errors name the doc_id."""
+    if table is not None:
+        if doc_id not in table:
+            raise MissingScore(f"no table entry for {doc_id!r}")
+        return table[doc_id]
+    try:
+        return score_text_reference(text)
+    except EmptyText:
+        raise EmptyText(f"record {doc_id!r} has zero tokens") from None
+
+
 def score_batch(
     scorer: ScorerConfig, records: list[DocumentRecord]
 ) -> list[tuple[str, float]]:
     """Score records, preserving input order (one output pair per record)."""
     table = load_score_table(scorer.table_path) if scorer.kind == "table" else None
-    out: list[tuple[str, float]] = []
-    for record in records:
-        if table is not None:
-            if record.doc_id not in table:
-                raise MissingScore(f"no table entry for {record.doc_id!r}")
-            out.append((record.doc_id, table[record.doc_id]))
-        else:
-            try:
-                out.append((record.doc_id, score_text_reference(record.text)))
-            except EmptyText:
-                raise EmptyText(f"record {record.doc_id!r} has zero tokens") from None
-    return out
+    return [(r.doc_id, score_record(table, r.doc_id, r.text)) for r in records]
 
 
 def mean_outlink_quality(graph: WebGraph, scores: dict[str, float], doc_id: str) -> float:

@@ -74,6 +74,28 @@ class TestScore:
         assert rc == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_table_scorer_requires_scores(self, corpus_files, capsys):
+        out = corpus_files["dir"] / "scored.jsonl"
+        rc = main(
+            ["score", "--input", corpus_files["corpus"], "--output", str(out),
+             "--scorer", "table"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --scorer table requires --scores\n"
+        assert not out.exists()
+
+    def test_table_missing_record_names_id(self, corpus_files, capsys):
+        table = corpus_files["dir"] / "partial.tsv"
+        table.write_text("a\t-1.0\nb\t-0.5\nc\t-2.0\ne\t-3.0\n")
+        out = corpus_files["dir"] / "scored.jsonl"
+        rc = main(
+            ["score", "--input", corpus_files["corpus"], "--output", str(out),
+             "--scorer", "table", "--scores", str(table)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no table entry for 'd'\n"
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, corpus_files):
         out1 = corpus_files["dir"] / "s1.jsonl"
         out2 = corpus_files["dir"] / "s2.jsonl"
@@ -326,6 +348,18 @@ class TestStats:
         assert lines[0] == "center_x,center_y,count"
         assert len(lines) > 1
 
+    def test_failure_writes_no_file(self, corpus_files, capsys):
+        table = corpus_files["dir"] / "partial.tsv"
+        table.write_text("b\t-0.5\nc\t-2.0\nd\t-0.25\ne\t-3.0\n")
+        out = corpus_files["dir"] / "stats6"
+        rc = main(
+            ["stats", "--scores", str(table), "--input", corpus_files["corpus"],
+             "--qrels", corpus_files["qrels"], "--output", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no quality score for 'a'\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpus_files, capsys):
@@ -359,6 +393,27 @@ class TestConfigFile:
         summary = json.loads(capsys.readouterr().out)
         assert summary["pages_crawled"] == 2
         assert summary["output"] == str(out)
+
+    def test_config_given_with_equals(self, corpus_files, capsys):
+        cfg = corpus_files["dir"] / "stats.json"
+        out = corpus_files["dir"] / "cfg_stats"
+        cfg.write_text(json.dumps({"output": str(out)}))
+        rc = main(["stats", f"--config={cfg}", "--scores", corpus_files["scores"]])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["output_dir"] == str(out)
+
+    def test_flag_with_equals_beats_config_list(self, corpus_files, capsys):
+        t = corpus_files["dir"] / "t.tsv"
+        u = corpus_files["dir"] / "u.tsv"
+        t.write_text(open(corpus_files["scores"]).read())
+        u.write_text(open(corpus_files["scores"]).read())
+        cfg = corpus_files["dir"] / "stats.json"
+        out = corpus_files["dir"] / "cfg_stats"
+        cfg.write_text(json.dumps({"scores": [str(t)], "output": str(out)}))
+        rc = main(["stats", "--config", str(cfg), f"--scores={u}"])
+        assert rc == 0
+        histograms = json.loads((out / "histograms.json").read_text())
+        assert set(histograms["tables"]) == {"u"}
 
     def test_missing_config_file(self, corpus_files, capsys):
         rc = main(["crawl", "--config", str(corpus_files["dir"] / "nope.json")])

@@ -104,14 +104,18 @@ class TestContracts:
 
     def test_qoracle_greedy_against_scan_oracle(self):
         rng = np.random.default_rng(17)
+        # Scores from three values tie often, so discovery order decides.
+        tie_rng = np.random.default_rng(18)
         for _ in range(10):
             adjacency, seeds, scores = random_graph(rng, max_nodes=100)
+            tied = {d: float(tie_rng.choice([-2.0, -1.0, 0.0])) for d in sorted(scores)}
             graph = _graph(adjacency)
             budget = int(rng.integers(1, 120))
-            trace = run_crawl(
-                graph, seeds, "qoracle", budget=budget, checkpoint_interval=5, scores=scores
-            )
-            assert trace.doc_ids() == scan_qoracle(graph.adjacency, seeds, scores, budget)
+            for table in (scores, tied):
+                trace = run_crawl(
+                    graph, seeds, "qoracle", budget=budget, checkpoint_interval=5, scores=table
+                )
+                assert trace.doc_ids() == scan_qoracle(graph.adjacency, seeds, table, budget)
 
     def test_multi_seed_dfs_starts_from_last_seed(self):
         graph = _graph({"a": [], "b": [], "c": []})
@@ -248,6 +252,15 @@ class TestErrors:
         graph = _graph({"a": ["b"]})
         with pytest.raises(MissingScore, match="'b'"):
             run_crawl(graph, ["a"], "qoracle", budget=5, checkpoint_interval=1, scores={"a": 0.0})
+
+    def test_qoracle_non_finite_score(self):
+        graph = _graph({"a": ["b"]})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite quality score for 'b'"):
+                run_crawl(
+                    graph, ["a"], "qoracle", budget=5, checkpoint_interval=1,
+                    scores={"a": 0.0, "b": bad},
+                )
 
     def test_bad_strategy_and_bounds(self):
         graph = _graph({"a": []})
