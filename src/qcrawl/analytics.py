@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import WebGraph
-from .errors import MissingScore, NoOutlinks, UndefinedCorrelation, ZeroWidth
+from .errors import MissingScore, UndefinedCorrelation, ZeroWidth
 from .quality import mean_outlink_quality
 
 DEFAULT_BINS = 15
@@ -217,11 +217,7 @@ def correlation_study(graph: WebGraph, scores: dict[str, float]):
             continue
         if doc_id not in scores:
             raise MissingScore(f"no quality score for {doc_id!r}")
-        try:
-            neighbour_mean = mean_outlink_quality(graph, scores, doc_id)
-        except NoOutlinks:  # pragma: no cover - filtered above
-            continue
-        points.append((scores[doc_id], neighbour_mean))
+        points.append((scores[doc_id], mean_outlink_quality(graph, scores, doc_id)))
     if len(points) < 2:
         raise ValueError("need at least two pages with outlinks")
     xs = [p[0] for p in points]

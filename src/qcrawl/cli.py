@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -22,13 +23,8 @@ RECORD_FORMATS = ("jsonl", "csv")
 
 def _parse_format(value: str) -> tuple[str, str]:
     """'in:out' format pair; a single name applies to both sides."""
-    parts = value.split(":")
-    if len(parts) == 1:
-        pair = (parts[0], parts[0])
-    elif len(parts) == 2:
-        pair = (parts[0], parts[1])
-    else:
-        raise ValueError(f"bad --format {value!r}; expected IN or IN:OUT")
+    in_fmt, colon, out_fmt = value.partition(":")
+    pair = (in_fmt, out_fmt if colon else in_fmt)
     for fmt in pair:
         if fmt not in RECORD_FORMATS:
             raise ValueError(f"unsupported format {fmt!r}; expected one of {RECORD_FORMATS}")
@@ -36,32 +32,32 @@ def _parse_format(value: str) -> tuple[str, str]:
 
 
 def _load_corpus_args(args):
-    return corpus.load_corpus(
-        args.input, _parse_format(args.format)[0], edges_path=args.edges
-    )
+    return corpus.load_corpus(args.input, args.format, edges_path=args.edges)
 
 
 def _write_rows_jsonl(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with corpus.atomic_write(path) as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
 
 def _write_rows_csv(rows, path):
     fields = list(corpus.RECORD_FIELDS) + ["quality_score"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with corpus.atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes a cell holding "\n" but not a lone "\r", which a reader
+        # takes for a line end, so a row holding one is quoted whole
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(fields)
         for row in rows:
-            writer.writerow(
-                [
-                    row["doc_id"],
-                    row.get("url") or "",
-                    row["text"],
-                    " ".join(row.get("outlinks", [])),
-                    repr(row["quality_score"]),
-                ]
-            )
+            cells = [
+                row["doc_id"],
+                row.get("url") or "",
+                row["text"],
+                " ".join(row.get("outlinks", [])),
+                repr(row["quality_score"]),
+            ]
+            (quote_all if "\r" in "".join(cells) else writer).writerow(cells)
 
 
 def cmd_score(args) -> int:
@@ -139,7 +135,8 @@ def cmd_index(args) -> int:
     }
     payload = json.dumps(stats, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        with corpus.atomic_write(args.output) as fh:
+            fh.write(payload + "\n")
     print(payload)
     return 0
 
@@ -161,7 +158,8 @@ def cmd_eval(args) -> int:
     report = retrieval.evaluate_checkpoints(
         docs, traces, queries, qrels, k=args.k, alpha=args.alpha
     )
-    Path(args.output).write_text(report.to_jsonl(), encoding="utf-8")
+    with corpus.atomic_write(args.output) as fh:
+        fh.write(report.to_jsonl())
     print(
         json.dumps(
             {
@@ -288,7 +286,8 @@ def cmd_stats(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        with corpus.atomic_write(str(out_dir / name)) as fh:
+            fh.write(text)
     print(
         json.dumps(
             {"output_dir": str(out_dir), "written": list(outputs), "skipped": skipped},
@@ -299,15 +298,18 @@ def cmd_stats(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Abbreviated flags are refused: _apply_config matches flags by full name.
     parser = argparse.ArgumentParser(
         prog="qcrawl",
         description="Quality-driven crawl simulation and retrieval analytics",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_corpus_flags(p):
         p.add_argument("--input", required=True, help="record file (jsonl or csv)")
-        p.add_argument("--format", default="jsonl", help="record format IN or IN:OUT")
+        p.add_argument("--format", choices=RECORD_FORMATS, default="jsonl")
         p.add_argument("--edges", help="optional tab-separated edge list (src<TAB>dst)")
 
     def add_config_flag(p):
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON file of flag defaults; explicit flags take precedence",
         )
 
-    p_score = sub.add_parser("score", help="add a quality_score column to a record file")
+    p_score = add_command("score", help="add a quality_score column to a record file")
     p_score.add_argument("--input", required=True)
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--format", default="jsonl", help="IN:OUT record formats")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--scores", help="score table (doc_id<TAB>score) for --scorer table")
     p_score.set_defaults(func=cmd_score)
 
-    p_crawl = sub.add_parser("crawl", help="simulate a crawl strategy over the graph")
+    p_crawl = add_command("crawl", help="simulate a crawl strategy over the graph")
     add_corpus_flags(p_crawl)
     p_crawl.add_argument("--seeds", required=True, help="seed file, one doc_id per line")
     p_crawl.add_argument("--strategy", choices=crawler.STRATEGIES, required=True)
@@ -334,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_crawl.add_argument("--output", required=True, help="trace file to write")
     p_crawl.set_defaults(func=cmd_crawl)
 
-    p_index = sub.add_parser("index", help="build a BM25 index and dump its stats")
+    p_index = add_command("index", help="build a BM25 index and dump its stats")
     add_corpus_flags(p_index)
     p_index.add_argument("--trace", help="index only this trace's prefix")
     p_index.add_argument("--rank", type=int, help="prefix length (default: full trace)")
     p_index.add_argument("--output", help="also write the stats JSON here")
     p_index.set_defaults(func=cmd_index)
 
-    p_eval = sub.add_parser("eval", help="evaluate traces at shared checkpoints")
+    p_eval = add_command("eval", help="evaluate traces at shared checkpoints")
     add_corpus_flags(p_eval)
     p_eval.add_argument(
         "--trace",
@@ -357,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", required=True, help="JSON-lines report file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_stats = sub.add_parser("stats", help="score-distribution and homophily statistics")
+    p_stats = add_command("stats", help="score-distribution and homophily statistics")
     p_stats.add_argument(
         "--scores", action="append", required=True, help="score table (repeatable)"
     )
     p_stats.add_argument("--input", help="optional corpus for the correlation study")
-    p_stats.add_argument("--format", default="jsonl")
+    p_stats.add_argument("--format", choices=RECORD_FORMATS, default="jsonl")
     p_stats.add_argument("--edges", help="optional tab-separated edge list")
     p_stats.add_argument("--qrels", help="optional qrels for the relevance split")
     p_stats.add_argument("--bins", type=int, default=analytics.DEFAULT_BINS)

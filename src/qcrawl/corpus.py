@@ -5,12 +5,17 @@ CSV record file. The web graph is an adjacency over doc_ids built from the
 records' outlinks (or from a separate tab-separated edge list). Outlinks
 whose target is not in the corpus are dropped from the graph but counted,
 so the crawl frontier stays closed over scoreable pages.
+
+Every line-oriented qcrawl file is read through read_lines, which skips blank
+lines; every output is written through atomic_write, which replaces it whole.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 from .errors import CorpusFormatError, UnknownDoc
@@ -57,38 +62,74 @@ class LoadStats:
     duplicate_dropped: int = 0
 
 
-def _check_doc_id(doc_id, lineno: int, path: str) -> str:
+def read_lines(path: str):
+    """Yield (lineno, line) for every line of a UTF-8 file that holds more
+    than whitespace, with the line ending removed."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
+
+
+def split_fields(
+    path: str, lineno: int, line: str, count: int, layout: str, sep: str | None = "\t"
+) -> list[str]:
+    """Split a line on sep (None: on whitespace) into exactly count non-empty
+    fields, or raise a CorpusFormatError naming the layout."""
+    fields = line.split(sep)
+    if len(fields) != count or not all(fields):
+        raise CorpusFormatError(f"{path}:{lineno}: expected '{layout}'")
+    return fields
+
+
+@contextmanager
+def atomic_write(path: str):
+    """Write UTF-8 text, without newline translation, to a temporary file
+    beside path that replaces path only when the block exits cleanly; on
+    any exception, KeyboardInterrupt included, path is left as it was."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _check_doc_id(doc_id, lineno: int, path: str, seen: set[str]) -> None:
     if not isinstance(doc_id, str) or not doc_id or any(c.isspace() for c in doc_id):
         raise CorpusFormatError(
             f"{path}:{lineno}: doc_id must be a non-empty token without whitespace"
         )
-    return doc_id
+    if doc_id in seen:
+        raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+    seen.add(doc_id)
 
 
 def parse_jsonl(path: str) -> list[dict]:
     """Parse a JSON-lines record file into raw row dicts (extra keys kept)."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            _check_doc_id(obj.get("doc_id"), lineno, path)
-            text = obj.get("text")
-            if not isinstance(text, str):
-                raise CorpusFormatError(f"{path}:{lineno}: missing or non-string 'text'")
-            url = obj.get("url")
-            if url is not None and not isinstance(url, str):
-                raise CorpusFormatError(f"{path}:{lineno}: 'url' must be a string or null")
-            outlinks = obj.get("outlinks", [])
-            if not isinstance(outlinks, list) or not all(isinstance(x, str) for x in outlinks):
-                raise CorpusFormatError(f"{path}:{lineno}: 'outlinks' must be a list of strings")
-            rows.append(obj)
+    seen: set[str] = set()
+    for lineno, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        _check_doc_id(obj.get("doc_id"), lineno, path, seen)
+        text = obj.get("text")
+        if not isinstance(text, str):
+            raise CorpusFormatError(f"{path}:{lineno}: missing or non-string 'text'")
+        url = obj.get("url")
+        if url is not None and not isinstance(url, str):
+            raise CorpusFormatError(f"{path}:{lineno}: 'url' must be a string or null")
+        outlinks = obj.get("outlinks", [])
+        if not isinstance(outlinks, list) or not all(isinstance(x, str) for x in outlinks):
+            raise CorpusFormatError(f"{path}:{lineno}: 'outlinks' must be a list of strings")
+        rows.append(obj)
     return rows
 
 
@@ -96,8 +137,10 @@ def parse_csv(path: str) -> list[dict]:
     """Parse a CSV record file (header doc_id,url,text,outlinks) into raw rows.
 
     The outlinks column holds a space-separated doc_id list in one field.
+    Errors name the last line of a record that quoted newlines spread out.
     """
     rows = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -108,15 +151,16 @@ def parse_csv(path: str) -> list[dict]:
             raise CorpusFormatError(
                 f"{path}:1: CSV header must be {','.join(RECORD_FIELDS)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        for row in reader:
+            lineno = reader.line_num
+            if len(row) < 2 and not "".join(row).strip():
                 continue
             if len(row) != len(RECORD_FIELDS):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, got {len(row)}"
                 )
             doc_id, url, text, outlinks = row
-            _check_doc_id(doc_id, lineno, path)
+            _check_doc_id(doc_id, lineno, path, seen)
             rows.append(
                 {
                     "doc_id": doc_id,
@@ -138,17 +182,7 @@ def parse_records(path: str, fmt: str) -> list[dict]:
 
 def load_edges(path: str) -> list[tuple[str, str]]:
     """Load a tab-separated edge list (``src<TAB>dst``, one edge per line)."""
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 'src<TAB>dst'")
-            edges.append((parts[0], parts[1]))
-    return edges
+    return [tuple(split_fields(path, n, line, 2, "src<TAB>dst")) for n, line in read_lines(path)]
 
 
 def build_corpus(
@@ -158,7 +192,8 @@ def build_corpus(
 
     Duplicate outlinks within one source keep the first occurrence; outlinks
     pointing outside the corpus are dropped from the graph. Both drops are
-    counted so that edges_loaded = kept + dangling + duplicates.
+    counted so that edges_loaded = kept + dangling + duplicates. A repeated
+    doc_id is rejected, since rows built in memory skip the parsers' check.
     """
     stats = LoadStats()
     doc_ids = set()
@@ -222,17 +257,14 @@ def load_seeds(path: str, graph: WebGraph) -> list[str]:
     """Load a seed file (one doc_id per line); duplicates keep the first."""
     seeds: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            doc_id = line.strip()
-            if not doc_id:
-                continue
-            if doc_id not in graph:
-                raise UnknownDoc(f"{path}:{lineno}: seed {doc_id!r} not in graph")
-            if doc_id in seen:
-                continue
-            seen.add(doc_id)
-            seeds.append(doc_id)
+    for lineno, line in read_lines(path):
+        doc_id = line.strip()
+        if doc_id not in graph:
+            raise UnknownDoc(f"{path}:{lineno}: seed {doc_id!r} not in graph")
+        if doc_id in seen:
+            continue
+        seen.add(doc_id)
+        seeds.append(doc_id)
     return seeds
 
 

@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .corpus import WebGraph
+from .corpus import WebGraph, atomic_write, read_lines, split_fields
 from .errors import CorpusFormatError, MissingScore, UnknownDoc
 
 # Frontier sort key per strategy, fixed when a page is discovered. seq counts
@@ -106,39 +106,32 @@ def run_crawl(
 def write_trace(trace: CrawlTrace, path: str) -> None:
     """Write tab-separated ``rank doc_id priority`` lines under a
     ``#checkpoints`` header; rewriting the same trace is byte-identical."""
-    lines = ["#checkpoints\t" + "\t".join(str(r) for r in trace.checkpoint_ranks)]
-    for rank, doc_id, priority in trace.entries:
-        cell = PRIORITY_SENTINEL if priority is None else repr(priority)
-        lines.append(f"{rank}\t{doc_id}\t{cell}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("#checkpoints\t" + "\t".join(str(r) for r in trace.checkpoint_ranks) + "\n")
+        for rank, doc_id, priority in trace.entries:
+            cell = PRIORITY_SENTINEL if priority is None else repr(priority)
+            fh.write(f"{rank}\t{doc_id}\t{cell}\n")
 
 
 def read_trace(path: str) -> CrawlTrace:
     """Parse a trace file written by write_trace.
 
-    Ranks run 1, 2, ... with no doc_id repeated, every priority is a float
-    or the sentinel, and checkpoint ranks increase strictly within
-    1..len(trace).
+    Line 1 is the ``#checkpoints`` header. Ranks run 1, 2, ... with no
+    doc_id repeated, every priority is a float or the sentinel, and
+    checkpoint ranks increase strictly within 1..len(trace).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#checkpoints"):
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    if lineno != 1 or not header.startswith("#checkpoints"):
         raise CorpusFormatError(f"{path}:1: missing '#checkpoints' header")
-    header_cells = lines[0].split("\t")[1:]
     try:
-        checkpoints = [int(c) for c in header_cells if c]
+        checkpoints = [int(c) for c in header.split("\t")[1:] if c]
     except ValueError:
         raise CorpusFormatError(f"{path}:1: non-integer checkpoint rank") from None
     entries: list[tuple[int, str, float | None]] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorpusFormatError(f"{path}:{lineno}: expected 'rank<TAB>doc_id<TAB>priority'")
-        rank_s, doc_id, cell = parts
+    for lineno, line in lines:
+        rank_s, doc_id, cell = split_fields(path, lineno, line, 3, "rank<TAB>doc_id<TAB>priority")
         try:
             rank = int(rank_s)
         except ValueError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corpus import DocumentRecord, WebGraph
+from .corpus import DocumentRecord, WebGraph, atomic_write, read_lines, split_fields
 from .errors import CorpusFormatError, EmptyText, MissingScore, NoOutlinks, UnknownDoc
 from .retrieval import tokenize
 
@@ -42,29 +42,22 @@ def score_text_reference(text: str) -> float:
 def load_score_table(path: str) -> dict[str, float]:
     """Load a ``doc_id<TAB>score`` table; scores must be finite, ids unique."""
     table: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 'doc_id<TAB>score'")
-            doc_id, score_s = parts
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
-            if not math.isfinite(score):
-                raise CorpusFormatError(f"{path}:{lineno}: non-finite score for {doc_id!r}")
-            if doc_id in table:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            table[doc_id] = score
+    for lineno, line in read_lines(path):
+        doc_id, score_s = split_fields(path, lineno, line, 2, "doc_id<TAB>score")
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: unparseable score {score_s!r}") from None
+        if not math.isfinite(score):
+            raise CorpusFormatError(f"{path}:{lineno}: non-finite score for {doc_id!r}")
+        if doc_id in table:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        table[doc_id] = score
     return table
 
 
 def write_score_table(table: dict[str, float], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for doc_id, score in table.items():
             fh.write(f"{doc_id}\t{score!r}\n")
 

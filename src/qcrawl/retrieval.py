@@ -25,7 +25,7 @@ from itertools import combinations
 
 from scipy.special import betainc
 
-from .corpus import DocumentRecord
+from .corpus import DocumentRecord, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
 from .errors import CorpusFormatError, SkippedQuery, UnknownDoc
 
@@ -38,16 +38,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on every non-alphanumeric character."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def _distinct(terms) -> list[str]:
-    seen = set()
-    out = []
-    for t in terms:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
 
 
 @dataclass
@@ -107,7 +97,7 @@ def bm25_score(index: InvertedIndex, query_terms, doc_id: str) -> float:
         raise UnknownDoc(f"doc_id not in index: {doc_id!r}")
     dl = index.doc_lengths[doc_id]
     score = 0.0
-    for term in _distinct(query_terms):
+    for term in dict.fromkeys(query_terms):
         tf = index.postings.get(term, {}).get(doc_id, 0)
         if tf == 0:
             continue
@@ -120,7 +110,7 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
     if k < 1:
         raise ValueError("k must be >= 1")
     scores: dict[str, float] = {}
-    for term in _distinct(query_terms):
+    for term in dict.fromkeys(query_terms):
         posting = index.postings.get(term)
         if not posting:
             continue
@@ -133,46 +123,36 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
 
 
 def load_queries(path: str) -> dict[str, str]:
-    """Load a tab-separated ``query_id<TAB>text`` file."""
+    """Load a tab-separated ``query_id<TAB>text`` file; the text may hold tabs."""
     queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0]:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
-            qid, text = parts
-            if qid in queries:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
-            queries[qid] = text
+    for lineno, line in read_lines(path):
+        qid, tab, text = line.partition("\t")
+        if not qid or not tab:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
+        if qid in queries:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
+        queries[qid] = text
     return queries
 
 
 def load_qrels(path: str) -> dict[str, dict[str, int]]:
     """Load TREC-layout qrels: whitespace-separated ``query_id 0 doc_id grade``."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 'query_id 0 doc_id grade'")
-            qid, _, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: grade must be an integer") from None
-            if grade < 0:
-                raise CorpusFormatError(f"{path}:{lineno}: grade must be >= 0")
-            per_query = qrels.setdefault(qid, {})
-            if doc_id in per_query:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: duplicate judgment for ({qid!r}, {doc_id!r})"
-                )
-            per_query[doc_id] = grade
+    for lineno, line in read_lines(path):
+        fields = split_fields(path, lineno, line, 4, "query_id 0 doc_id grade", sep=None)
+        qid, _, doc_id, grade_s = fields
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: grade must be an integer") from None
+        if grade < 0:
+            raise CorpusFormatError(f"{path}:{lineno}: grade must be >= 0")
+        per_query = qrels.setdefault(qid, {})
+        if doc_id in per_query:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: duplicate judgment for ({qid!r}, {doc_id!r})"
+            )
+        per_query[doc_id] = grade
     return qrels
 
 

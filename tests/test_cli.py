@@ -1,6 +1,10 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcrawl.cli import main
 
@@ -297,7 +301,7 @@ class TestStats:
     def test_identical_tables_zero_js(self, corpus_files, capsys):
         out = corpus_files["dir"] / "stats1"
         table2 = corpus_files["dir"] / "copy.tsv"
-        table2.write_text(open(corpus_files["scores"]).read())
+        table2.write_text(Path(corpus_files["scores"]).read_text())
         rc = main(
             ["stats", "--scores", corpus_files["scores"], "--scores", str(table2),
              "--output", str(out)]
@@ -405,8 +409,8 @@ class TestConfigFile:
     def test_flag_with_equals_beats_config_list(self, corpus_files, capsys):
         t = corpus_files["dir"] / "t.tsv"
         u = corpus_files["dir"] / "u.tsv"
-        t.write_text(open(corpus_files["scores"]).read())
-        u.write_text(open(corpus_files["scores"]).read())
+        t.write_text(Path(corpus_files["scores"]).read_text())
+        u.write_text(Path(corpus_files["scores"]).read_text())
         cfg = corpus_files["dir"] / "stats.json"
         out = corpus_files["dir"] / "cfg_stats"
         cfg.write_text(json.dumps({"scores": [str(t)], "output": str(out)}))
@@ -427,3 +431,108 @@ def test_unknown_format_rejected(corpus_files, capsys):
     )
     assert rc == 1
     assert "parquet" in capsys.readouterr().err
+
+
+def test_abbreviated_flag_rejected_not_merged_with_config(corpus_files, capsys):
+    t = corpus_files["dir"] / "t.tsv"
+    u = corpus_files["dir"] / "u.tsv"
+    t.write_text(Path(corpus_files["scores"]).read_text())
+    u.write_text(Path(corpus_files["scores"]).read_text())
+    cfg = corpus_files["dir"] / "stats.json"
+    out = corpus_files["dir"] / "cfg_stats"
+    cfg.write_text(json.dumps({"scores": [str(t)], "output": str(out)}))
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--config", str(cfg), "--score", str(u)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --score" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl:csv", "parquet"])
+def test_corpus_format_takes_one_record_format(corpus_files, capsys, fmt):
+    out = corpus_files["dir"] / "trace.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["crawl", "--input", corpus_files["corpus"], "--format", fmt,
+             "--seeds", corpus_files["seeds"], "--strategy", "bfs", "--budget", "10",
+             "--checkpoint-interval", "2", "--output", str(out)]
+        )
+    assert exc.value.code == 2
+    assert "--format: invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_corpus_crawls_like_jsonl(corpus_files, five_node_rows):
+    records = corpus_files["dir"] / "records.csv"
+    with open(records, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["doc_id", "url", "text", "outlinks"])
+        for row in five_node_rows:
+            cells = [row["doc_id"], row["url"] or "", row["text"], " ".join(row["outlinks"])]
+            writer.writerow(cells)
+    traces = []
+    for fmt, path in (("jsonl", corpus_files["corpus"]), ("csv", str(records))):
+        out = corpus_files["dir"] / f"{fmt}.tsv"
+        rc = main(
+            ["crawl", "--input", path, "--format", fmt, "--seeds", corpus_files["seeds"],
+             "--strategy", "dfs", "--budget", "10", "--checkpoint-interval", "2",
+             "--output", str(out)]
+        )
+        assert rc == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+
+
+def test_score_rejects_repeated_doc_id_at_its_line(tmp_path, jsonl_writer, capsys):
+    rows = [{"doc_id": d, "url": None, "text": "some text"} for d in ("a", "b", "a")]
+    path = jsonl_writer(rows, tmp_path / "dup.jsonl")
+    out = tmp_path / "out.jsonl"
+    rc = main(["score", "--input", path, "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:3: duplicate doc_id 'a'\n"
+    assert not out.exists()
+
+
+_CELL_TEXT = st.text(st.sampled_from(list('ab ,"\'\n\r\t;é')), max_size=12)
+
+
+@st.composite
+def _records(draw):
+    n = draw(st.integers(0, 5))
+    ids = [f"d{i}" for i in range(n)]
+    return [
+        {
+            "doc_id": doc_id,
+            "url": draw(st.none() | _CELL_TEXT.filter(bool)),
+            "text": "w " + draw(_CELL_TEXT),
+            "outlinks": draw(st.lists(st.sampled_from(ids + ["gone"]), max_size=3)),
+        }
+        for doc_id in ids
+    ]
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rows=_records())
+def test_score_jsonl_csv_jsonl_round_trip(tmp_path, jsonl_writer, capsys, rows):
+    """jsonl -> scored csv; the csv without its score column -> scored jsonl
+    gives back every record with the same score."""
+    records = jsonl_writer(rows, tmp_path / "records.jsonl")
+    scored_csv = tmp_path / "scored.csv"
+    assert main(["score", "--input", records, "--output", str(scored_csv),
+                 "--format", "jsonl:csv"]) == 0
+    with open(scored_csv, encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0][-1] == "quality_score"
+    unscored_csv = tmp_path / "unscored.csv"
+    with open(unscored_csv, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(row[:-1] for row in table)
+    scored_jsonl = tmp_path / "scored.jsonl"
+    assert main(["score", "--input", str(unscored_csv), "--output", str(scored_jsonl),
+                 "--format", "csv:jsonl"]) == 0
+    back = [json.loads(line) for line in scored_jsonl.read_text().splitlines()]
+    assert [row.pop("quality_score") for row in back] == [float(row[-1]) for row in table[1:]]
+    assert back == rows
+    capsys.readouterr()

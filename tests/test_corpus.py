@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from qcrawl import (
     build_corpus,
     load_corpus,
     load_edges,
+    load_qrels,
+    load_queries,
+    load_score_table,
     load_seeds,
     oracle_text,
     outlinks,
+    read_trace,
 )
+from qcrawl.corpus import atomic_write
 
 
 def test_dangling_target_dropped_and_counted():
@@ -176,3 +183,111 @@ def test_load_seeds(tmp_path, five_node_corpus):
     path.write_text("a\nnope\n")
     with pytest.raises(UnknownDoc, match="nope"):
         load_seeds(str(path), graph)
+
+
+def test_jsonl_duplicate_doc_id_reports_path_line(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    path.write_text("".join(f'{{"doc_id": "{d}", "text": "x"}}\n' for d in "aba"))
+    expected = rf"^{re.escape(str(path))}:3: duplicate doc_id 'a'$"
+    with pytest.raises(CorpusFormatError, match=expected):
+        load_corpus(str(path), "jsonl")
+
+
+def test_csv_errors_count_lines_not_records(tmp_path):
+    path = tmp_path / "corpus.csv"
+    prefix = re.escape(str(path))
+    path.write_text('doc_id,url,text,outlinks\na,,"two\nlines",\nb,,short\n')
+    with pytest.raises(CorpusFormatError, match=rf"^{prefix}:4: expected 4 fields"):
+        load_corpus(str(path), "csv")
+    path.write_text('doc_id,url,text,outlinks\na,,"two\nlines",\na,,again,\n')
+    with pytest.raises(CorpusFormatError, match=rf"^{prefix}:4: duplicate doc_id 'a'$"):
+        load_corpus(str(path), "csv")
+
+
+# One file per line-oriented reader, each with an empty and a whitespace-only
+# line between its two records.
+_BLANK_LINE_CASES = {
+    "jsonl": ('{"doc_id": "a", "text": "x"}', '{"doc_id": "b", "text": "y"}'),
+    "csv": ("doc_id,url,text,outlinks", "a,,x,"),
+    "edges": ("a\tb", "b\ta"),
+    "seeds": ("a", "b"),
+    "score_table": ("a\t-1.0", "b\t-2.0"),
+    "trace": ("#checkpoints\t2", "1\ta\t-\n2\tb\t-0.5"),
+    "queries": ("q1\talpha", "q2\tbeta"),
+    "qrels": ("q1 0 a 1", "q2 0 b 0"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_BLANK_LINE_CASES))
+def test_whitespace_only_lines_are_skipped(tmp_path, reader, five_node_corpus):
+    first, second = _BLANK_LINE_CASES[reader]
+    path = tmp_path / "input"
+    path.write_text(f"{first}\n\n \t \n{second}\n")
+    blank_free = tmp_path / "blank_free"
+    blank_free.write_text(f"{first}\n{second}\n")
+    load = {
+        "jsonl": lambda p: load_corpus(p, "jsonl")[0],
+        "csv": lambda p: load_corpus(p, "csv")[0],
+        "edges": load_edges,
+        "seeds": lambda p: load_seeds(p, five_node_corpus[1]),
+        "score_table": load_score_table,
+        "trace": read_trace,
+        "queries": load_queries,
+        "qrels": load_qrels,
+    }[reader]
+    assert load(str(path)) == load(str(blank_free))
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_edges, "a\tb\na\t\n"),
+        (load_score_table, "a\t-1.0\n\t-2.0\n"),
+        (read_trace, "#checkpoints\n1\t\t-\n"),
+        (load_queries, "q1\talpha\n\tbeta\n"),
+    ],
+    ids=["edges", "score_table", "trace", "queries"],
+)
+def test_empty_field_rejected_at_its_line(tmp_path, load, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: expected '"):
+        load(str(path))
+
+
+class TestAtomicWrite:
+    def test_clean_exit_replaces_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(str(path)) as fh:
+            fh.write("new\r\nline\n")
+        assert path.read_bytes() == b"new\r\nline\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failure_keeps_old_content_and_no_temp_file(self, tmp_path, exc):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(exc):
+            with atomic_write(str(path)) as fh:
+                fh.write("half")
+                raise exc()
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failure_creates_no_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError):
+            with atomic_write(str(path)) as fh:
+                fh.write("half")
+                raise ValueError
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x")
+        path = tmp_path / "out.txt"
+        with atomic_write(str(path)) as fh:
+            fh.write("x")
+        assert path.stat().st_mode == plain.stat().st_mode

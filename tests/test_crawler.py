@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
+    CrawlTrace,
     MissingScore,
     UnknownDoc,
     build_corpus,
@@ -270,3 +273,29 @@ class TestErrors:
             run_crawl(graph, ["a"], "bfs", budget=0, checkpoint_interval=1)
         with pytest.raises(ValueError):
             run_crawl(graph, ["a"], "bfs", budget=1, checkpoint_interval=0)
+
+
+# Tokens as the corpus allows them for doc_ids: no whitespace or control chars.
+_DOC_IDS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=6
+)
+
+
+@st.composite
+def _traces(draw):
+    doc_ids = draw(st.lists(_DOC_IDS, unique=True, max_size=12))
+    priorities = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    entries = [(rank, d, draw(priorities)) for rank, d in enumerate(doc_ids, start=1)]
+    ranks = draw(st.sets(st.integers(1, len(doc_ids)))) if doc_ids else set()
+    return CrawlTrace(entries=entries, checkpoint_ranks=sorted(ranks))
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(trace=_traces())
+def test_write_read_trace_round_trip(tmp_path, trace):
+    path = tmp_path / "trace.tsv"
+    write_trace(trace, str(path))
+    assert read_trace(str(path)) == trace

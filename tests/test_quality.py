@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
@@ -164,3 +166,24 @@ class TestMeanOutlinkQuality:
             q2 = mean_outlink_quality(g2, scores, "a")
             assert q1 == q2  # summation order is fixed, so exact
             assert min(scores.values()) <= q1 <= max(scores.values())
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    table=st.dictionaries(
+        st.text(st.characters(blacklist_categories=("Cc", "Cs", "Z")), min_size=1, max_size=6),
+        st.floats(allow_nan=False, allow_infinity=False),
+        max_size=12,
+    )
+)
+def test_write_load_score_table_round_trip(tmp_path, table):
+    path = tmp_path / "t.tsv"
+    write_score_table(table, str(path))
+    loaded = load_score_table(str(path))
+    assert list(loaded.items()) == list(table.items())
+    assert [math.copysign(1.0, v) for v in loaded.values()] == [
+        math.copysign(1.0, v) for v in table.values()
+    ]
