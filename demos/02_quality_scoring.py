@@ -3,10 +3,11 @@ Quality scoring: reference scorer, score tables, outlink means
 ==============================================================
 
 Quality scores carry log-probability semantics: higher (closer to 0) is
-better. The scorer is pluggable: either a precomputed table (the shape
-published neural-scorer caches come in) or the deterministic reference
-scorer ln(distinct_tokens / total_tokens), handy for reproducible
-experiments without any model.
+better. A page's score is its entry in a precomputed table (the shape
+published neural-scorer caches come in) when a table is given, and
+otherwise the deterministic reference scorer
+ln(distinct_tokens / total_tokens), handy for reproducible experiments
+without any model.
 """
 
 import tempfile
@@ -14,7 +15,6 @@ from pathlib import Path
 
 from qcrawl import (
     DocumentRecord,
-    ScorerConfig,
     build_corpus,
     load_score_table,
     mean_outlink_quality,
@@ -38,7 +38,7 @@ records = [
     DocumentRecord("a", None, "unique words everywhere here", ()),
     DocumentRecord("b", None, "spam spam spam", ()),
 ]
-scored = score_batch(ScorerConfig("reference"), records)
+scored = score_batch(records)
 print("batch:", scored)
 
 # -- tables round-trip through tab-separated files -----------------------
@@ -47,6 +47,8 @@ table_path = workdir / "scores.tsv"
 write_score_table(dict(scored), str(table_path))
 table = load_score_table(str(table_path))
 print("reloaded:", table)
+# a given table is the scorer: each record gets its table entry
+print("from the table:", score_batch(records, {"a": -0.5, "b": -2.0}))
 print()
 
 # -- mean outlink quality: the homophily signal --------------------------

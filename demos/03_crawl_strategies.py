@@ -8,13 +8,13 @@ discovery, dfs the newest (following the first-listed link next), and
 qoracle always pops the highest quality score in the frontier.
 """
 
-from qcrawl import ScorerConfig, build_corpus, run_crawl, score_batch, synthetic_corpus
+from qcrawl import build_corpus, run_crawl, score_batch, synthetic_corpus
 
 rows, _, _, seeds = synthetic_corpus(
     n_nodes=60, n_queries=5, rel_per_query=2, n_seeds=4, rng_seed=42
 )
 corpus, graph, _ = build_corpus(rows)
-scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+scores = dict(score_batch(list(corpus.values())))
 
 for strategy in ("bfs", "dfs", "qoracle"):
     trace = run_crawl(

@@ -9,7 +9,6 @@ denominator, so pages the crawler never reached count as misses.
 """
 
 from qcrawl import (
-    ScorerConfig,
     build_corpus,
     evaluate_checkpoints,
     run_crawl,
@@ -23,7 +22,7 @@ rows, queries, qrels, seeds = synthetic_corpus(
     n_nodes=1200, n_queries=30, rel_per_query=3, n_seeds=50, rng_seed=7
 )
 corpus, graph, _ = build_corpus(rows)
-scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+scores = dict(score_batch(list(corpus.values())))
 
 traces = {}
 for strategy in ("bfs", "dfs", "qoracle"):

@@ -9,7 +9,6 @@ aggregate the point cloud into hexagonal cells (plot-ready CSV shape).
 """
 
 from qcrawl import (
-    ScorerConfig,
     build_corpus,
     correlation_study,
     hexbin,
@@ -24,7 +23,7 @@ def study(anti):
         rng_seed=5, anti_homophilic=anti,
     )
     corpus, graph, _ = build_corpus(rows)
-    scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+    scores = dict(score_batch(list(corpus.values())))
     return correlation_study(graph, scores)
 
 

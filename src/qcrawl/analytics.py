@@ -212,7 +212,7 @@ def correlation_study(graph: WebGraph, scores: dict[str, float]):
     """(page quality, mean outlink quality) pairs for every page with at
     least one outlink, plus Pearson r and the OLS regression line."""
     points: list[tuple[float, float]] = []
-    for doc_id in sorted(graph.nodes):
+    for doc_id in sorted(graph.adjacency):
         if not graph.adjacency.get(doc_id):
             continue
         if doc_id not in scores:

@@ -63,11 +63,7 @@ def _write_rows_csv(rows, path):
 def cmd_score(args) -> int:
     in_fmt, out_fmt = _parse_format(args.format)
     rows = corpus.parse_records(args.input, in_fmt)
-    table = None
-    if args.scorer == "table":
-        if not args.scores:
-            raise QCrawlError("--scorer table requires --scores")
-        table = quality.load_score_table(args.scores)
+    table = quality.load_score_table(args.scores) if args.scores else None
     scored = []
     for row in rows:
         if "quality_score" in row:
@@ -88,11 +84,7 @@ def cmd_score(args) -> int:
 def cmd_crawl(args) -> int:
     _, graph, stats = _load_corpus_args(args)
     seeds = corpus.load_seeds(args.seeds, graph)
-    scores = None
-    if args.strategy == "qoracle":
-        if not args.scores:
-            raise QCrawlError("qoracle strategy requires --scores")
-        scores = quality.load_score_table(args.scores)
+    scores = quality.load_score_table(args.scores) if args.scores else None
     trace = crawler.run_crawl(
         graph,
         seeds,
@@ -118,6 +110,8 @@ def cmd_crawl(args) -> int:
 
 
 def cmd_index(args) -> int:
+    if args.rank is not None and not args.trace:
+        raise QCrawlError("--rank requires --trace")
     docs, _, _ = _load_corpus_args(args)
     if args.trace:
         trace = crawler.read_trace(args.trace)
@@ -322,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--input", required=True)
     p_score.add_argument("--output", required=True)
     p_score.add_argument("--format", default="jsonl", help="IN:OUT record formats")
-    p_score.add_argument("--scorer", choices=quality.SCORER_KINDS, default="reference")
-    p_score.add_argument("--scores", help="score table (doc_id<TAB>score) for --scorer table")
+    p_score.add_argument(
+        "--scores", help="score table (doc_id<TAB>score); without it, the reference scorer"
+    )
     p_score.set_defaults(func=cmd_score)
 
     p_crawl = add_command("crawl", help="simulate a crawl strategy over the graph")
@@ -393,9 +388,12 @@ def _apply_config(argv: list[str]) -> list[str]:
             return argv  # let argparse report the missing value
         path = argv[at + 1]
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise QCrawlError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(config, dict):
-        raise QCrawlError("config file must hold a JSON object")
+        raise QCrawlError(f"{path}: config file must hold a JSON object")
     tokens: list[str] = []
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")

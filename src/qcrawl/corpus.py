@@ -37,11 +37,10 @@ class DocumentRecord:
 class WebGraph:
     """Directed adjacency over corpus doc_ids, in file order."""
 
-    nodes: set[str] = field(default_factory=set)
     adjacency: dict[str, list[str]] = field(default_factory=dict)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.nodes
+        return doc_id in self.adjacency
 
     @property
     def edge_count(self) -> int:
@@ -98,8 +97,17 @@ def atomic_write(path: str):
         raise
 
 
+def _are_tokens(values: list) -> bool:
+    """True when every value is a non-empty str without whitespace: the one
+    doc_id rule, for a record's id and its outlinks alike."""
+    try:
+        return " ".join(values).split() == values
+    except TypeError:  # a value that is not a str
+        return False
+
+
 def _check_doc_id(doc_id, lineno: int, path: str, seen: set[str]) -> None:
-    if not isinstance(doc_id, str) or not doc_id or any(c.isspace() for c in doc_id):
+    if not _are_tokens([doc_id]):
         raise CorpusFormatError(
             f"{path}:{lineno}: doc_id must be a non-empty token without whitespace"
         )
@@ -127,8 +135,8 @@ def parse_jsonl(path: str) -> list[dict]:
         if url is not None and not isinstance(url, str):
             raise CorpusFormatError(f"{path}:{lineno}: 'url' must be a string or null")
         outlinks = obj.get("outlinks", [])
-        if not isinstance(outlinks, list) or not all(isinstance(x, str) for x in outlinks):
-            raise CorpusFormatError(f"{path}:{lineno}: 'outlinks' must be a list of strings")
+        if not isinstance(outlinks, list) or not _are_tokens(outlinks):
+            raise CorpusFormatError(f"{path}:{lineno}: 'outlinks' must be a list of doc_ids")
         rows.append(obj)
     return rows
 
@@ -220,7 +228,7 @@ def build_corpus(
         stats.edges_loaded = sum(len(v) for v in raw_outlinks.values())
 
     corpus: dict[str, DocumentRecord] = {}
-    graph = WebGraph(nodes=set(doc_ids))
+    graph = WebGraph()
     for row in rows:
         doc_id = row["doc_id"]
         seen: set[str] = set()
@@ -278,6 +286,6 @@ def oracle_text(corpus: dict[str, DocumentRecord], doc_id: str) -> str:
 
 def outlinks(graph: WebGraph, doc_id: str) -> list[str]:
     """Ordered successors of a page in the graph."""
-    if doc_id not in graph.nodes:
+    if doc_id not in graph.adjacency:
         raise UnknownDoc(f"unknown doc_id: {doc_id!r}")
-    return list(graph.adjacency.get(doc_id, []))
+    return list(graph.adjacency[doc_id])

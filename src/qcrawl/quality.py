@@ -1,35 +1,20 @@
-"""Quality scoring behind a pluggable interface.
+"""Quality scoring: score tables and the model-free reference scorer.
 
 Scores carry log-probability semantics (typically <= 0, not enforced).
-Two scorer kinds exist: ``table`` reads precomputed scores from a
-tab-separated file, ``reference`` is a deterministic model-free stand-in
-that scores a text by ln(distinct_tokens / total_tokens), so 0 means all
-tokens are distinct and repetitive texts score below 0.
+A page's score is its entry in a score table (``doc_id<TAB>score``, the
+shape precomputed model scores come in) when a table is given; otherwise
+the deterministic reference scorer scores its text by
+ln(distinct_tokens / total_tokens), so 0 means all tokens are distinct and
+repetitive texts score below 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .corpus import DocumentRecord, WebGraph, atomic_write, read_lines, split_fields
 from .errors import CorpusFormatError, EmptyText, MissingScore, NoOutlinks, UnknownDoc
 from .retrieval import tokenize
-
-SCORER_KINDS = ("table", "reference")
-
-
-@dataclass(frozen=True)
-class ScorerConfig:
-    kind: str
-    table_path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in SCORER_KINDS:
-            raise ValueError(f"unknown scorer kind {self.kind!r}; expected one of {SCORER_KINDS}")
-        if self.kind == "table" and not self.table_path:
-            raise ValueError("table scorer requires a table_path")
-
 
 def score_text_reference(text: str) -> float:
     """ln(distinct/total) over the retrieval tokenization of the text."""
@@ -76,10 +61,10 @@ def score_record(table: dict[str, float] | None, doc_id: str, text: str) -> floa
 
 
 def score_batch(
-    scorer: ScorerConfig, records: list[DocumentRecord]
+    records: list[DocumentRecord], table: dict[str, float] | None = None
 ) -> list[tuple[str, float]]:
-    """Score records, preserving input order (one output pair per record)."""
-    table = load_score_table(scorer.table_path) if scorer.kind == "table" else None
+    """Score records through score_record, preserving input order (one
+    output pair per record)."""
     return [(r.doc_id, score_record(table, r.doc_id, r.text)) for r in records]
 
 
@@ -89,9 +74,9 @@ def mean_outlink_quality(graph: WebGraph, scores: dict[str, float], doc_id: str)
     Summation order is fixed (sorted ids) so permuting the adjacency list
     cannot change the result, not even in the last float bit.
     """
-    if doc_id not in graph.nodes:
+    if doc_id not in graph.adjacency:
         raise UnknownDoc(f"unknown doc_id: {doc_id!r}")
-    targets = sorted(set(graph.adjacency.get(doc_id, [])))
+    targets = sorted(set(graph.adjacency[doc_id]))
     if not targets:
         raise NoOutlinks(f"page {doc_id!r} has no outlinks")
     total = 0.0

@@ -13,7 +13,6 @@ import pytest
 
 from qcrawl import (
     CrawlTrace,
-    ScorerConfig,
     bm25_score,
     build_corpus,
     build_index,
@@ -221,7 +220,7 @@ def homophilic_bundle():
         n_nodes=budget, n_queries=60, rel_per_query=3, n_seeds=100, rng_seed=7
     )
     corpus, graph, _ = build_corpus(rows)
-    scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+    scores = dict(score_batch(list(corpus.values())))
     marks = [budget // 10, budget // 4, budget // 2, budget]  # 10/25/50/100%
     traces = {}
     for strategy in ("bfs", "dfs", "qoracle"):
@@ -283,7 +282,7 @@ def test_homophily_correlation_signs(homophilic_bundle):
         anti_homophilic=True,
     )
     corpus, graph, _ = build_corpus(rows)
-    scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+    scores = dict(score_batch(list(corpus.values())))
     anti_report, _ = correlation_study(graph, scores)
     assert anti_report.pearson_r < 0
     _ok(

@@ -57,11 +57,25 @@ class TestScore:
         out = corpus_files["dir"] / "scored.jsonl"
         rc = main(
             ["score", "--input", corpus_files["corpus"], "--output", str(out),
-             "--scorer", "table", "--scores", corpus_files["scores"]]
+             "--scores", corpus_files["scores"]]
         )
         assert rc == 0
-        first = json.loads(out.read_text().splitlines()[0])
-        assert first["quality_score"] == -1.0
+        scored = {
+            obj["doc_id"]: obj["quality_score"]
+            for obj in map(json.loads, out.read_text().splitlines())
+        }
+        assert scored == {"a": -1.0, "b": -0.5, "c": -2.0, "d": -0.25, "e": -3.0}
+
+    def test_scorer_flag_is_a_usage_error(self, corpus_files, capsys):
+        out = corpus_files["dir"] / "scored.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["score", "--input", corpus_files["corpus"], "--output", str(out),
+                 "--scorer", "table", "--scores", corpus_files["scores"]]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --scorer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_existing_quality_score_rejected(self, tmp_path, jsonl_writer, capsys):
         rows = [{"doc_id": "a", "url": None, "text": "x", "outlinks": [],
@@ -78,23 +92,13 @@ class TestScore:
         assert rc == 1
         assert "empty" in capsys.readouterr().err
 
-    def test_table_scorer_requires_scores(self, corpus_files, capsys):
-        out = corpus_files["dir"] / "scored.jsonl"
-        rc = main(
-            ["score", "--input", corpus_files["corpus"], "--output", str(out),
-             "--scorer", "table"]
-        )
-        assert rc == 1
-        assert capsys.readouterr().err == "error: --scorer table requires --scores\n"
-        assert not out.exists()
-
     def test_table_missing_record_names_id(self, corpus_files, capsys):
         table = corpus_files["dir"] / "partial.tsv"
         table.write_text("a\t-1.0\nb\t-0.5\nc\t-2.0\ne\t-3.0\n")
         out = corpus_files["dir"] / "scored.jsonl"
         rc = main(
             ["score", "--input", corpus_files["corpus"], "--output", str(out),
-             "--scorer", "table", "--scores", str(table)]
+             "--scores", str(table)]
         )
         assert rc == 1
         assert capsys.readouterr().err == "error: no table entry for 'd'\n"
@@ -137,13 +141,33 @@ class TestCrawl:
         assert outs[0] == outs[1]
 
     def test_qoracle_requires_scores(self, corpus_files, capsys):
+        out = corpus_files["dir"] / "x.tsv"
         rc = main(
             ["crawl", "--input", corpus_files["corpus"], "--seeds", corpus_files["seeds"],
              "--strategy", "qoracle", "--budget", "10", "--checkpoint-interval", "2",
-             "--output", str(corpus_files["dir"] / "x.tsv")]
+             "--output", str(out)]
         )
         assert rc == 1
-        assert "scores" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: qoracle requires a score table\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    def test_given_scores_are_read_for_any_strategy(self, corpus_files, capsys, strategy):
+        bad = corpus_files["dir"] / "bad.tsv"
+        bad.write_text("a\tnan\n")
+        for table, message in (
+            (corpus_files["dir"] / "missing.tsv", "No such file"),
+            (bad, f"{bad}:1: non-finite score for 'a'"),
+        ):
+            out = corpus_files["dir"] / "x.tsv"
+            rc = main(
+                ["crawl", "--input", corpus_files["corpus"], "--seeds", corpus_files["seeds"],
+                 "--strategy", strategy, "--scores", str(table), "--budget", "10",
+                 "--checkpoint-interval", "2", "--output", str(out)]
+            )
+            assert rc == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestIndex:
@@ -182,6 +206,15 @@ class TestIndex:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "rank 0 out of range 1..5" in captured.err
+
+    def test_rank_without_trace_is_an_error(self, corpus_files, capsys):
+        out = corpus_files["dir"] / "index.json"
+        rc = main(
+            ["index", "--input", corpus_files["corpus"], "--rank", "2", "--output", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: --rank requires --trace\n")
+        assert not out.exists()
 
 
 class TestEval:
@@ -422,6 +455,24 @@ class TestConfigFile:
     def test_missing_config_file(self, corpus_files, capsys):
         rc = main(["crawl", "--config", str(corpus_files["dir"] / "nope.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{'budget': 10}", ":1: invalid JSON (Expecting property name enclosed in "
+                               "double quotes)"),
+            ('{\n  "budget": 10\n  "strategy": "bfs"\n}\n', ":3: invalid JSON (Expecting ',' "
+                                                         "delimiter)"),
+            ('["budget", 10]\n', ": config file must hold a JSON object"),
+        ],
+        ids=["line-1", "line-3", "not-an-object"],
+    )
+    def test_bad_config_names_the_file(self, corpus_files, capsys, text, message):
+        cfg = corpus_files["dir"] / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["crawl", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}{message}\n"
 
 
 def test_unknown_format_rejected(corpus_files, capsys):

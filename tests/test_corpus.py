@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from qcrawl.corpus import atomic_write
 def test_dangling_target_dropped_and_counted():
     rows = [{"doc_id": "a", "url": None, "text": "x", "outlinks": ["b"]}]
     corpus, graph, stats = build_corpus(rows)
-    assert graph.nodes == {"a"}
+    assert list(graph.adjacency) == ["a"]
     assert graph.edge_count == 0
     assert stats.dangling_dropped == 1
     # the record itself still remembers the dangling target
@@ -36,7 +37,7 @@ def test_two_node_cycle():
         {"doc_id": "b", "url": None, "text": "y", "outlinks": ["a"]},
     ]
     _, graph, stats = build_corpus(rows)
-    assert len(graph.nodes) == 2
+    assert len(graph.adjacency) == 2
     assert graph.edge_count == 2
     assert stats.dangling_dropped == 0
 
@@ -75,6 +76,20 @@ def test_jsonl_doc_id_with_whitespace_rejected(tmp_path):
         load_corpus(str(path), "jsonl")
 
 
+@pytest.mark.parametrize(
+    "bad", [["b c", ""], [""], ["b c"], ["b", " b"], ["b\u2003"], ["b", 3], [None]]
+)
+def test_jsonl_outlink_must_be_a_doc_id(tmp_path, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"doc_id": "b", "text": "ok"}\n'
+        + json.dumps({"doc_id": "a", "text": "ok", "outlinks": bad}) + "\n"
+    )
+    with pytest.raises(CorpusFormatError) as exc:
+        load_corpus(str(path), "jsonl")
+    assert str(exc.value) == f"{path}:2: 'outlinks' must be a list of doc_ids"
+
+
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text(
@@ -104,7 +119,6 @@ def test_reload_determinism(tmp_path, five_node_rows, jsonl_writer):
     c1, g1, s1 = load_corpus(path, "jsonl")
     c2, g2, s2 = load_corpus(path, "jsonl")
     assert list(c1) == list(c2)
-    assert g1.nodes == g2.nodes
     assert g1.adjacency == g2.adjacency
     assert s1 == s2
 
@@ -126,7 +140,7 @@ def test_edge_conservation_on_random_corpora():
         )
         assert stats.edges_kept == graph.edge_count
         for targets in graph.adjacency.values():
-            assert set(targets) <= graph.nodes
+            assert set(targets) <= graph.adjacency.keys()
 
 
 def test_separate_edge_list(tmp_path, jsonl_writer):

@@ -81,7 +81,7 @@ class TestContracts:
 
     def test_strategies_are_permutations_when_exhausted(self):
         graph = _graph({"a": ["b", "c"], "b": ["d"], "c": ["d", "e"], "e": ["a"]})
-        scores = {d: -float(i) for i, d in enumerate(sorted(graph.nodes))}
+        scores = {d: -float(i) for i, d in enumerate(sorted(graph.adjacency))}
         orders = {}
         for strategy in ("bfs", "dfs", "qoracle"):
             trace = run_crawl(
@@ -155,7 +155,7 @@ class TestTraceIO:
 
     def test_rewrite_byte_identical(self, tmp_path):
         graph = _graph({"a": ["b", "c"], "c": ["d"]})
-        scores = {d: -float(ord(d[0])) for d in graph.nodes}
+        scores = {d: -float(ord(d[0])) for d in graph.adjacency}
         trace = run_crawl(graph, ["a"], "qoracle", budget=9, checkpoint_interval=2, scores=scores)
         p1, p2 = tmp_path / "t1.tsv", tmp_path / "t2.tsv"
         write_trace(trace, str(p1))

@@ -11,7 +11,6 @@ from qcrawl import (
     EmptyText,
     MissingScore,
     NoOutlinks,
-    ScorerConfig,
     build_corpus,
     load_score_table,
     mean_outlink_quality,
@@ -54,37 +53,27 @@ class TestScoreBatch:
         path = tmp_path / "t.tsv"
         path.write_text("a\t-1\nb\t-2\nc\t-3\n")
         records = [_rec("c", "x"), _rec("a", "y"), _rec("b", "z")]
-        out = score_batch(ScorerConfig("table", str(path)), records)
+        out = score_batch(records, load_score_table(str(path)))
         assert out == [("c", -3.0), ("a", -1.0), ("b", -2.0)]
 
     def test_empty_input(self):
-        assert score_batch(ScorerConfig("reference"), []) == []
+        assert score_batch([]) == []
 
     def test_missing_table_entry_names_id(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("a\t-1\n")
         with pytest.raises(MissingScore, match="'d'"):
-            score_batch(ScorerConfig("table", str(path)), [_rec("d", "x")])
+            score_batch([_rec("d", "x")], load_score_table(str(path)))
 
     def test_reference_batch_equals_pointwise(self):
         records = [_rec(f"r{i}", "tok " * (i + 1) + f"u{i}") for i in range(10)]
-        batch = score_batch(ScorerConfig("reference"), records)
+        batch = score_batch(records)
         pointwise = [(r.doc_id, score_text_reference(r.text)) for r in records]
         assert batch == pointwise
 
     def test_empty_text_propagates_id(self):
         with pytest.raises(EmptyText, match="'bad'"):
-            score_batch(ScorerConfig("reference"), [_rec("good", "x"), _rec("bad", "")])
-
-
-class TestScorerConfig:
-    def test_table_requires_path(self):
-        with pytest.raises(ValueError):
-            ScorerConfig("table")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ScorerConfig("neural")
+            score_batch([_rec("good", "x"), _rec("bad", "")])
 
 
 class TestScoreTableIO:

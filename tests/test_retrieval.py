@@ -29,7 +29,6 @@ from qcrawl import (
     tokenize,
     trace_prefix,
 )
-from qcrawl.quality import ScorerConfig
 from qcrawl.retrieval import _prefix_indexes
 
 from oracles import bm25_from_scratch, reference_evaluate_checkpoints, student_t_two_sided_p
@@ -296,7 +295,7 @@ class TestEvaluateCheckpoints:
             n_nodes=240, n_queries=8, rel_per_query=2, n_seeds=12, rng_seed=21
         )
         corpus, graph, _ = build_corpus(rows)
-        scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+        scores = dict(score_batch(list(corpus.values())))
         traces = {}
         for strategy in ("bfs", "dfs", "qoracle"):
             traces[strategy] = run_crawl(
@@ -384,7 +383,7 @@ class TestIncrementalMatchesRebuild:
             n_nodes=n_nodes, n_queries=4, rel_per_query=2, n_seeds=3, rng_seed=rng_seed
         )
         corpus, graph, _ = build_corpus(rows)
-        scores = dict(score_batch(ScorerConfig("reference"), list(corpus.values())))
+        scores = dict(score_batch(list(corpus.values())))
         rng = np.random.default_rng(rng_seed)
         ids = sorted(corpus)
         # a query over filler terms: many partial matches with varied tf
