@@ -3,132 +3,84 @@
 Replays crawl strategies (bfs, dfs, qoracle) over a stored web graph,
 evaluates downstream BM25 retrieval recall at crawl checkpoints, and
 computes quality-distribution and quality-homophily statistics.
+
+Every public name is imported from its submodule on first use (PEP 562), so
+``import qcrawl`` loads neither numpy nor scipy until a name that needs them
+is used.
 """
 
-from .analytics import (
-    CorrelationReport,
-    HexbinGrid,
-    Histogram,
-    correlation_study,
-    hexbin,
-    histogram,
-    js_distance,
-    ols_regression,
-    pearson,
-    quartiles,
-    split_by_relevance,
-    undersample,
-)
-from .corpus import (
-    DocumentRecord,
-    LoadStats,
-    WebGraph,
-    build_corpus,
-    load_corpus,
-    load_edges,
-    load_seeds,
-    oracle_text,
-    outlinks,
-)
-from .crawler import (
-    STRATEGIES,
-    CrawlTrace,
-    read_trace,
-    run_crawl,
-    trace_prefix,
-    write_trace,
-)
-from .errors import (
-    CorpusFormatError,
-    EmptyText,
-    MissingScore,
-    NoOutlinks,
-    QCrawlError,
-    SkippedQuery,
-    UndefinedCorrelation,
-    UnknownDoc,
-    ZeroWidth,
-)
-from .quality import (
-    load_score_table,
-    mean_outlink_quality,
-    score_batch,
-    score_text_reference,
-    write_score_table,
-)
-from .retrieval import (
-    EvalReport,
-    InvertedIndex,
-    TTestResult,
-    bm25_score,
-    build_index,
-    evaluate_checkpoints,
-    load_qrels,
-    load_queries,
-    paired_t_test_bonferroni,
-    recall_at_k,
-    search_topk,
-    t_p_value,
-    tokenize,
-)
-from .synth import synthetic_corpus
+from importlib import import_module
+
+# Every public name, in the order of __all__, with the submodule that defines it.
+_SUBMODULE_OF = {
+    "CorrelationReport": "analytics",
+    "CorpusFormatError": "errors",
+    "CrawlTrace": "crawler",
+    "DocumentRecord": "corpus",
+    "EmptyText": "errors",
+    "EvalReport": "retrieval",
+    "HexbinGrid": "analytics",
+    "Histogram": "analytics",
+    "InvertedIndex": "retrieval",
+    "LoadStats": "corpus",
+    "MissingScore": "errors",
+    "NoOutlinks": "errors",
+    "QCrawlError": "errors",
+    "STRATEGIES": "crawler",
+    "SkippedQuery": "errors",
+    "TTestResult": "retrieval",
+    "UndefinedCorrelation": "errors",
+    "UnknownDoc": "errors",
+    "WebGraph": "corpus",
+    "ZeroWidth": "errors",
+    "bm25_score": "retrieval",
+    "build_corpus": "corpus",
+    "build_index": "retrieval",
+    "correlation_study": "analytics",
+    "evaluate_checkpoints": "retrieval",
+    "hexbin": "analytics",
+    "histogram": "analytics",
+    "js_distance": "analytics",
+    "load_corpus": "corpus",
+    "load_edges": "corpus",
+    "load_qrels": "retrieval",
+    "load_queries": "retrieval",
+    "load_score_table": "quality",
+    "load_seeds": "corpus",
+    "mean_outlink_quality": "quality",
+    "ols_regression": "analytics",
+    "oracle_text": "corpus",
+    "outlinks": "corpus",
+    "paired_t_test_bonferroni": "retrieval",
+    "pearson": "analytics",
+    "quartiles": "analytics",
+    "read_trace": "crawler",
+    "recall_at_k": "retrieval",
+    "run_crawl": "crawler",
+    "score_batch": "quality",
+    "score_text_reference": "quality",
+    "search_topk": "retrieval",
+    "split_by_relevance": "analytics",
+    "synthetic_corpus": "synth",
+    "t_p_value": "retrieval",
+    "tokenize": "retrieval",
+    "trace_prefix": "crawler",
+    "undersample": "analytics",
+    "write_score_table": "quality",
+    "write_trace": "crawler",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationReport",
-    "CorpusFormatError",
-    "CrawlTrace",
-    "DocumentRecord",
-    "EmptyText",
-    "EvalReport",
-    "HexbinGrid",
-    "Histogram",
-    "InvertedIndex",
-    "LoadStats",
-    "MissingScore",
-    "NoOutlinks",
-    "QCrawlError",
-    "STRATEGIES",
-    "SkippedQuery",
-    "TTestResult",
-    "UndefinedCorrelation",
-    "UnknownDoc",
-    "WebGraph",
-    "ZeroWidth",
-    "bm25_score",
-    "build_corpus",
-    "build_index",
-    "correlation_study",
-    "evaluate_checkpoints",
-    "hexbin",
-    "histogram",
-    "js_distance",
-    "load_corpus",
-    "load_edges",
-    "load_qrels",
-    "load_queries",
-    "load_score_table",
-    "load_seeds",
-    "mean_outlink_quality",
-    "ols_regression",
-    "oracle_text",
-    "outlinks",
-    "paired_t_test_bonferroni",
-    "pearson",
-    "quartiles",
-    "read_trace",
-    "recall_at_k",
-    "run_crawl",
-    "score_batch",
-    "score_text_reference",
-    "search_topk",
-    "split_by_relevance",
-    "synthetic_corpus",
-    "t_p_value",
-    "tokenize",
-    "trace_prefix",
-    "undersample",
-    "write_score_table",
-    "write_trace",
-]
+__all__ = list(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -15,11 +15,7 @@ import numpy as np
 
 from .corpus import WebGraph
 from .errors import MissingScore, UndefinedCorrelation, ZeroWidth
-from .quality import mean_outlink_quality
-
-DEFAULT_BINS = 15
-DEFAULT_GRIDSIZE = 25
-DEFAULT_MIN_COUNT = 1000
+from .quality import DEFAULT_BINS, DEFAULT_GRIDSIZE, DEFAULT_MIN_COUNT, mean_outlink_quality
 
 
 @dataclass

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analytics, corpus, crawler, quality, retrieval
+from . import corpus, crawler, quality, retrieval
 from .errors import QCrawlError
 
 RECORD_FORMATS = ("jsonl", "csv")
@@ -114,7 +114,7 @@ def cmd_index(args) -> int:
         raise QCrawlError("--rank requires --trace")
     docs, _, _ = _load_corpus_args(args)
     if args.trace:
-        trace = crawler.read_trace(args.trace)
+        trace = crawler.read_trace(args.trace, docs)
         rank = len(trace) if args.rank is None else args.rank
         doc_ids = crawler.trace_prefix(trace, rank)
     else:
@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
             raise QCrawlError(f"bad --trace {entry!r}; expected NAME=PATH")
         if name in traces:
             raise QCrawlError(f"duplicate trace name {name!r}")
-        traces[name] = crawler.read_trace(path)
+        traces[name] = crawler.read_trace(path, docs)
     if not 0.0 < args.alpha <= 1.0:
         raise QCrawlError("--alpha must be in (0, 1]")
     queries = retrieval.load_queries(args.queries)
@@ -169,6 +169,8 @@ def cmd_eval(args) -> int:
 
 
 def _stats_histograms(tables: dict[str, dict[str, float]], bins: int):
+    from . import analytics
+
     all_values = [v for table in tables.values() for v in table.values()]
     lo, hi = min(all_values), max(all_values)
     if lo == hi:
@@ -197,6 +199,9 @@ def _json_text(payload) -> str:
 
 
 def cmd_stats(args) -> int:
+    # analytics needs numpy; only stats imports it, so other subcommands start faster
+    from . import analytics
+
     tables: dict[str, dict[str, float]] = {}
     for path in args.scores:
         label = Path(path).stem
@@ -362,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--format", choices=RECORD_FORMATS, default="jsonl")
     p_stats.add_argument("--edges", help="optional tab-separated edge list")
     p_stats.add_argument("--qrels", help="optional qrels for the relevance split")
-    p_stats.add_argument("--bins", type=int, default=analytics.DEFAULT_BINS)
-    p_stats.add_argument("--gridsize", type=int, default=analytics.DEFAULT_GRIDSIZE)
-    p_stats.add_argument("--min-count", type=int, default=analytics.DEFAULT_MIN_COUNT)
+    p_stats.add_argument("--bins", type=int, default=quality.DEFAULT_BINS)
+    p_stats.add_argument("--gridsize", type=int, default=quality.DEFAULT_GRIDSIZE)
+    p_stats.add_argument("--min-count", type=int, default=quality.DEFAULT_MIN_COUNT)
     p_stats.add_argument("--rng-seed", type=int, default=0)
     p_stats.add_argument("--undersample", action="store_true")
     p_stats.add_argument("--output", required=True, help="output directory")
@@ -387,7 +392,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         if at + 1 >= len(argv):
             return argv  # let argparse report the missing value
         path = argv[at + 1]
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, corpus.utf8_errors(path):
         try:
             config = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -64,10 +64,30 @@ class LoadStats:
 def read_lines(path: str):
     """Yield (lineno, line) for every line of a UTF-8 file that holds more
     than whitespace, with the line ending removed."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():
                 yield lineno, line.rstrip("\n")
+
+
+@contextmanager
+def utf8_errors(path: str):
+    """Report a UnicodeDecodeError raised in the block as a CorpusFormatError
+    naming path and the line of the file's first bad byte, with lines counted
+    as text-mode reading counts them (ending at LF, CRLF or a lone CR). The
+    file is read again on that error path only."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start].decode("utf-8")
+            lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+            raise CorpusFormatError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})") from None
+        raise
 
 
 def split_fields(
@@ -149,7 +169,7 @@ def parse_csv(path: str) -> list[dict]:
     """
     rows = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, utf8_errors(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

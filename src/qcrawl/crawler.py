@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .corpus import WebGraph, atomic_write, read_lines, split_fields
@@ -113,12 +114,13 @@ def write_trace(trace: CrawlTrace, path: str) -> None:
             fh.write(f"{rank}\t{doc_id}\t{cell}\n")
 
 
-def read_trace(path: str) -> CrawlTrace:
+def read_trace(path: str, corpus_ids: Container[str] | None = None) -> CrawlTrace:
     """Parse a trace file written by write_trace.
 
     Line 1 is the ``#checkpoints`` header. Ranks run 1, 2, ... with no
     doc_id repeated, every priority is a float or the sentinel, and
-    checkpoint ranks increase strictly within 1..len(trace).
+    checkpoint ranks increase strictly within 1..len(trace). When corpus_ids
+    is given, every doc_id must be in it.
     """
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
@@ -140,6 +142,8 @@ def read_trace(path: str) -> CrawlTrace:
             raise CorpusFormatError(f"{path}:{lineno}: ranks must increase by 1")
         if doc_id in seen:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        if corpus_ids is not None and doc_id not in corpus_ids:
+            raise UnknownDoc(f"{path}:{lineno}: doc_id {doc_id!r} not in corpus")
         seen.add(doc_id)
         try:
             priority = None if cell == PRIORITY_SENTINEL else float(cell)

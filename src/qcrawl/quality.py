@@ -16,6 +16,13 @@ from .corpus import DocumentRecord, WebGraph, atomic_write, read_lines, split_fi
 from .errors import CorpusFormatError, EmptyText, MissingScore, NoOutlinks, UnknownDoc
 from .retrieval import tokenize
 
+# Defaults of analytics.histogram and analytics.hexbin, kept here so that the
+# CLI can build its parser without importing analytics (and numpy).
+DEFAULT_BINS = 15
+DEFAULT_GRIDSIZE = 25
+DEFAULT_MIN_COUNT = 1000
+
+
 def score_text_reference(text: str) -> float:
     """ln(distinct/total) over the retrieval tokenization of the text."""
     tokens = tokenize(text)

@@ -23,8 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from scipy.special import betainc
-
 from .corpus import DocumentRecord, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
 from .errors import CorpusFormatError, SkippedQuery, UnknownDoc
@@ -171,6 +169,10 @@ def recall_at_k(ranked, qrels: dict[str, dict[str, int]], query_id: str, k: int)
 
 def t_p_value(t_stat: float, df: int) -> float:
     """Two-sided Student-t p-value via the regularized incomplete beta."""
+    # Imported here, not at module top: only eval runs a t-test, and loading
+    # scipy.special would dominate the start-up of every other subcommand.
+    from scipy.special import betainc
+
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if math.isinf(t_stat):

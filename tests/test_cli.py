@@ -474,6 +474,44 @@ class TestConfigFile:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {cfg}{message}\n"
 
+    def test_non_utf8_config_names_its_line(self, corpus_files, capsys):
+        cfg = corpus_files["dir"] / "cfg.json"
+        cfg.write_bytes(b'{\n  "strategy": "bfs\xff"\n}\n')
+        rc = main(["crawl", "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: invalid UTF-8 (invalid start byte)\n"
+
+
+def test_non_utf8_input_names_path_and_line(corpus_files, capsys):
+    records = Path(corpus_files["corpus"])
+    records.write_bytes(records.read_bytes() + b'{"doc_id": "f", "text": "\xff"}\n')
+    out = corpus_files["dir"] / "scored.jsonl"
+    assert main(["score", "--input", str(records), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {records}:6: invalid UTF-8 (invalid start byte)\n"
+    assert not out.exists()
+    table = Path(corpus_files["scores"])
+    table.write_bytes(table.read_bytes() + b"f\t-1.0\xff\n")
+    out = corpus_files["dir"] / "stats"
+    assert main(["stats", "--scores", str(table), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {table}:6: invalid UTF-8 (invalid start byte)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "index"])
+def test_trace_doc_id_not_in_corpus_names_its_line(corpus_files, capsys, command):
+    trace = corpus_files["dir"] / "trace.tsv"
+    trace.write_text("#checkpoints\t2\n1\ta\t-\n2\tzz\t-\n")
+    out = corpus_files["dir"] / "out.json"
+    argv = [command, "--input", corpus_files["corpus"], "--output", str(out)]
+    if command == "eval":
+        argv += ["--trace", f"bfs={trace}", "--queries", corpus_files["queries"],
+                 "--qrels", corpus_files["qrels"]]
+    else:
+        argv += ["--trace", str(trace)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {trace}:3: doc_id 'zz' not in corpus\n")
+    assert not out.exists()
+
 
 def test_unknown_format_rejected(corpus_files, capsys):
     rc = main(

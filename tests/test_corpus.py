@@ -1,11 +1,15 @@
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
+    QCrawlError,
     UnknownDoc,
     build_corpus,
     load_corpus,
@@ -232,6 +236,19 @@ _BLANK_LINE_CASES = {
 }
 
 
+def _loader(reader, graph):
+    return {
+        "jsonl": lambda p: load_corpus(p, "jsonl")[0],
+        "csv": lambda p: load_corpus(p, "csv")[0],
+        "edges": load_edges,
+        "seeds": lambda p: load_seeds(p, graph),
+        "score_table": load_score_table,
+        "trace": read_trace,
+        "queries": load_queries,
+        "qrels": load_qrels,
+    }[reader]
+
+
 @pytest.mark.parametrize("reader", sorted(_BLANK_LINE_CASES))
 def test_whitespace_only_lines_are_skipped(tmp_path, reader, five_node_corpus):
     first, second = _BLANK_LINE_CASES[reader]
@@ -239,16 +256,7 @@ def test_whitespace_only_lines_are_skipped(tmp_path, reader, five_node_corpus):
     path.write_text(f"{first}\n\n \t \n{second}\n")
     blank_free = tmp_path / "blank_free"
     blank_free.write_text(f"{first}\n{second}\n")
-    load = {
-        "jsonl": lambda p: load_corpus(p, "jsonl")[0],
-        "csv": lambda p: load_corpus(p, "csv")[0],
-        "edges": load_edges,
-        "seeds": lambda p: load_seeds(p, five_node_corpus[1]),
-        "score_table": load_score_table,
-        "trace": read_trace,
-        "queries": load_queries,
-        "qrels": load_qrels,
-    }[reader]
+    load = _loader(reader, five_node_corpus[1])
     assert load(str(path)) == load(str(blank_free))
 
 
@@ -267,6 +275,60 @@ def test_empty_field_rejected_at_its_line(tmp_path, load, text):
     path.write_text(text)
     with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: expected '"):
         load(str(path))
+
+
+def _first_bad_line(raw: bytes):
+    """Line number, as text-mode reading counts lines, of the first byte that
+    is not UTF-8; None when there is none."""
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text, start=1):
+        if re.search("[\udc80-\udcff]", line):
+            return lineno
+    return None
+
+
+@pytest.mark.parametrize("reader", sorted(_BLANK_LINE_CASES))
+def test_non_utf8_byte_names_path_and_line(tmp_path, reader, five_node_corpus):
+    first, second = _BLANK_LINE_CASES[reader]
+    path = tmp_path / "input"
+    # "\r\n" and a lone "\r" each end one line
+    raw = f"{first}\r\n\r{second}\n".encode() + b"z\xffz\n"
+    path.write_bytes(raw)
+    lineno = 4 + second.count("\n")
+    assert _first_bad_line(raw) == lineno
+    expected = rf"^{re.escape(str(path))}:{lineno}: invalid UTF-8 \(invalid start byte\)$"
+    with pytest.raises(CorpusFormatError, match=expected):
+        _loader(reader, five_node_corpus[1])(str(path))
+
+
+_BYTE_CHUNKS = st.sampled_from(
+    [b"\n", b"\r", b"\r\n", b" ", b"\t", b",", b'"', b"\xff", b"\xc3", "\u00e9".encode()]
+)
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(reader=st.sampled_from(sorted(_BLANK_LINE_CASES)), data=st.data())
+def test_any_bytes_load_or_fail_naming_the_path(tmp_path, five_node_corpus, reader, data):
+    """Valid lines, line ends, stray and broken UTF-8 bytes in any order:
+    every reader loads them or raises a QCrawlError naming the path (and,
+    for a byte that is not UTF-8, its line)."""
+    lines = st.sampled_from([line.encode() for line in _BLANK_LINE_CASES[reader]])
+    raw = data.draw(st.lists(lines | _BYTE_CHUNKS | st.binary(max_size=3), max_size=12))
+    raw = b"".join(raw)
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    bad_line = _first_bad_line(raw)
+    try:
+        _loader(reader, five_node_corpus[1])(str(path))
+    except QCrawlError as exc:
+        assert str(exc).startswith(f"{path}:")
+        if bad_line is not None:
+            assert re.match(rf"{re.escape(str(path))}:{bad_line}: invalid UTF-8 ", str(exc))
+    else:
+        assert bad_line is None
 
 
 class TestAtomicWrite:
