@@ -35,8 +35,8 @@ print()
 
 # -- batch scoring keeps input order -------------------------------------
 records = [
-    DocumentRecord("a", None, "unique words everywhere here", ()),
-    DocumentRecord("b", None, "spam spam spam", ()),
+    DocumentRecord("a", None, "unique words everywhere here"),
+    DocumentRecord("b", None, "spam spam spam"),
 ]
 scored = score_batch(records)
 print("batch:", scored)

@@ -4,7 +4,9 @@ A corpus is a mapping doc_id -> DocumentRecord built from a JSON-lines or
 CSV record file. The web graph is an adjacency over doc_ids built from the
 records' outlinks (or from a separate tab-separated edge list). Outlinks
 whose target is not in the corpus are dropped from the graph but counted,
-so the crawl frontier stays closed over scoreable pages.
+so the crawl frontier stays closed over scoreable pages. A load pauses the
+cyclic garbage collector, which would only rescan its new objects: rows,
+records and adjacency lists hold what they point down to, never a cycle.
 
 Every line-oriented qcrawl file is read through read_lines, which skips blank
 lines; every output is written through atomic_write, which replaces it whole.
@@ -13,6 +15,7 @@ lines; every output is written through atomic_write, which replaces it whole.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 from contextlib import contextmanager, suppress
@@ -23,14 +26,13 @@ from .errors import CorpusFormatError, UnknownDoc
 RECORD_FIELDS = ("doc_id", "url", "text", "outlinks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocumentRecord:
-    """One web page: id, optional URL, extracted text, ordered outlinks."""
+    """One web page: id, optional URL, extracted text (links: WebGraph)."""
 
     doc_id: str
     url: str | None
     text: str
-    outlinks: tuple[str, ...]
 
 
 @dataclass
@@ -102,6 +104,18 @@ def split_fields(
 
 
 @contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, then restore it, also on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
 def atomic_write(path: str):
     """Write UTF-8 text, without newline translation, to a temporary file
     beside path that replaces path only when the block exits cleanly; on
@@ -164,42 +178,43 @@ def parse_jsonl(path: str) -> list[dict]:
 def parse_csv(path: str) -> list[dict]:
     """Parse a CSV record file (header doc_id,url,text,outlinks) into raw rows.
 
-    The outlinks column holds a space-separated doc_id list in one field.
-    Errors name the last line of a record that quoted newlines spread out.
+    The outlinks column holds a space-separated doc_id list in one field, and
+    a cell may be as long as a JSON line. Errors name the last line of a
+    record that quoted newlines spread out.
     """
     rows = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh, utf8_errors(path):
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}:1: empty CSV file") from None
-        if [h.strip() for h in header] != list(RECORD_FIELDS):
-            raise CorpusFormatError(
-                f"{path}:1: CSV header must be {','.join(RECORD_FIELDS)}"
-            )
-        for row in reader:
-            lineno = reader.line_num
-            if len(row) < 2 and not "".join(row).strip():
-                continue
-            if len(row) != len(RECORD_FIELDS):
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, got {len(row)}"
+    old_limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh, utf8_errors(path):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CorpusFormatError(f"{path}:1: empty CSV file")
+            if [h.strip() for h in header] != list(RECORD_FIELDS):
+                raise CorpusFormatError(f"{path}:1: CSV header must be {','.join(RECORD_FIELDS)}")
+            for row in reader:
+                lineno = reader.line_num
+                if len(row) < 2 and not "".join(row).strip():
+                    continue
+                if len(row) != len(RECORD_FIELDS):
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, got {len(row)}"
+                    )
+                doc_id, url, text, outlinks = row
+                _check_doc_id(doc_id, lineno, path, seen)
+                rows.append(
+                    {"doc_id": doc_id, "url": url or None, "text": text,
+                     "outlinks": outlinks.split()}
                 )
-            doc_id, url, text, outlinks = row
-            _check_doc_id(doc_id, lineno, path, seen)
-            rows.append(
-                {
-                    "doc_id": doc_id,
-                    "url": url or None,
-                    "text": text,
-                    "outlinks": outlinks.split(),
-                }
-            )
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(old_limit)
     return rows
 
 
+@_gc_paused()
 def parse_records(path: str, fmt: str) -> list[dict]:
     if fmt == "jsonl":
         return parse_jsonl(path)
@@ -213,6 +228,7 @@ def load_edges(path: str) -> list[tuple[str, str]]:
     return [tuple(split_fields(path, n, line, 2, "src<TAB>dst")) for n, line in read_lines(path)]
 
 
+@_gc_paused()
 def build_corpus(
     rows: list[dict], edges: list[tuple[str, str]] | None = None
 ) -> tuple[dict[str, DocumentRecord], WebGraph, LoadStats]:
@@ -223,55 +239,43 @@ def build_corpus(
     counted so that edges_loaded = kept + dangling + duplicates. A repeated
     doc_id is rejected, since rows built in memory skip the parsers' check.
     """
-    stats = LoadStats()
-    doc_ids = set()
-    raw_order = []
-    for row in rows:
-        if row["doc_id"] in doc_ids:
-            raise CorpusFormatError(f"duplicate doc_id: {row['doc_id']!r}")
-        doc_ids.add(row["doc_id"])
-        raw_order.append(row["doc_id"])
-    stats.records = len(rows)
+    rows_by_id = {row["doc_id"]: row for row in rows}
+    if len(rows_by_id) != len(rows):
+        seen: set[str] = set()
+        for row in rows:
+            if row["doc_id"] in seen:
+                raise CorpusFormatError(f"duplicate doc_id: {row['doc_id']!r}")
+            seen.add(row["doc_id"])
 
-    # Outlink lists per source, in file order. When an edge list is given it
-    # replaces the records' outlinks entirely (outlinks shipped separately).
+    # An edge list replaces the records' outlinks; an unknown source dangles.
     if edges is not None:
-        raw_outlinks: dict[str, list[str]] = {d: [] for d in raw_order}
-        for src, dst in edges:
-            stats.edges_loaded += 1
-            if src not in doc_ids:
-                stats.dangling_dropped += 1
-                continue
-            raw_outlinks[src].append(dst)
-    else:
-        raw_outlinks = {row["doc_id"]: list(row.get("outlinks", [])) for row in rows}
-        stats.edges_loaded = sum(len(v) for v in raw_outlinks.values())
+        linked: dict[str, list[str]] = {doc_id: [] for doc_id in rows_by_id}
+        edges_loaded = 0
+        for edges_loaded, (src, dst) in enumerate(edges, start=1):
+            if src in linked:
+                linked[src].append(dst)
 
     corpus: dict[str, DocumentRecord] = {}
     graph = WebGraph()
-    for row in rows:
-        doc_id = row["doc_id"]
-        seen: set[str] = set()
-        deduped: list[str] = []
-        for target in raw_outlinks[doc_id]:
-            if target in seen:
-                stats.duplicate_dropped += 1
-                continue
-            seen.add(target)
-            deduped.append(target)
-        kept = [t for t in deduped if t in doc_ids]
-        stats.dangling_dropped += len(deduped) - len(kept)
-        stats.edges_kept += len(kept)
-        corpus[doc_id] = DocumentRecord(
-            doc_id=doc_id,
-            url=row.get("url"),
-            text=row["text"],
-            outlinks=tuple(deduped),
-        )
-        graph.adjacency[doc_id] = kept
+    in_corpus = rows_by_id.__contains__
+    raw_total = deduped_total = 0
+    for doc_id, row in rows_by_id.items():
+        raw = linked[doc_id] if edges is not None else row.get("outlinks", ())
+        raw = raw if isinstance(raw, (list, tuple)) else list(raw)  # an iterator reads once
+        deduped = dict.fromkeys(raw)  # first occurrence kept, in order
+        graph.adjacency[doc_id] = list(filter(in_corpus, deduped))
+        raw_total += len(raw)
+        deduped_total += len(deduped)
+        corpus[doc_id] = DocumentRecord(doc_id, row.get("url"), row["text"])
+
+    edges_loaded = raw_total if edges is None else edges_loaded
+    duplicates = raw_total - deduped_total
+    kept = graph.edge_count
+    stats = LoadStats(len(rows), edges_loaded, kept, edges_loaded - kept - duplicates, duplicates)
     return corpus, graph, stats
 
 
+@_gc_paused()
 def load_corpus(
     path: str, fmt: str = "jsonl", edges_path: str | None = None
 ) -> tuple[dict[str, DocumentRecord], WebGraph, LoadStats]:
@@ -283,17 +287,13 @@ def load_corpus(
 
 def load_seeds(path: str, graph: WebGraph) -> list[str]:
     """Load a seed file (one doc_id per line); duplicates keep the first."""
-    seeds: list[str] = []
-    seen: set[str] = set()
+    seeds: dict[str, None] = {}
     for lineno, line in read_lines(path):
         doc_id = line.strip()
         if doc_id not in graph:
             raise UnknownDoc(f"{path}:{lineno}: seed {doc_id!r} not in graph")
-        if doc_id in seen:
-            continue
-        seen.add(doc_id)
-        seeds.append(doc_id)
-    return seeds
+        seeds[doc_id] = None
+    return list(seeds)
 
 
 def oracle_text(corpus: dict[str, DocumentRecord], doc_id: str) -> str:

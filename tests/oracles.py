@@ -2,8 +2,8 @@
 
 Almost everything here deliberately avoids the library's own code paths:
 textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
-the Student-t density, a full-scan hexagonal assigner, and a from-scratch
-BM25 recomputation. The one exception is the checkpoint evaluator, which
+the Student-t density, a full-scan hexagonal assigner, a from-scratch BM25
+recomputation, and a per-target corpus builder. The one exception is the checkpoint evaluator, which
 rebuilds a full index per prefix from the library's own ``build_index`` and
 ``search_topk``, so that it checks only the incremental indexing.
 """
@@ -241,3 +241,54 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
                     )
                 )
     return EvalReport(k, alpha, eval_qids, recall_rows, significance_rows)
+
+
+def reference_build_corpus(rows, edges=None):
+    """Corpus assembly one outlink at a time, with a seen-set per source.
+
+    Returns (records, adjacency, stats): records maps doc_id to its
+    (doc_id, url, text), adjacency is the graph's, and stats a LoadStats.
+    """
+    from qcrawl.corpus import CorpusFormatError, LoadStats
+
+    stats = LoadStats()
+    doc_ids = set()
+    raw_order = []
+    for row in rows:
+        if row["doc_id"] in doc_ids:
+            raise CorpusFormatError(f"duplicate doc_id: {row['doc_id']!r}")
+        doc_ids.add(row["doc_id"])
+        raw_order.append(row["doc_id"])
+    stats.records = len(rows)
+
+    # An edge list replaces the records' outlinks entirely.
+    if edges is not None:
+        raw_outlinks = {d: [] for d in raw_order}
+        for src, dst in edges:
+            stats.edges_loaded += 1
+            if src not in doc_ids:
+                stats.dangling_dropped += 1
+                continue
+            raw_outlinks[src].append(dst)
+    else:
+        raw_outlinks = {row["doc_id"]: list(row.get("outlinks", [])) for row in rows}
+        stats.edges_loaded = sum(len(v) for v in raw_outlinks.values())
+
+    records = {}
+    adjacency = {}
+    for row in rows:
+        doc_id = row["doc_id"]
+        seen = set()
+        deduped = []
+        for target in raw_outlinks[doc_id]:
+            if target in seen:
+                stats.duplicate_dropped += 1
+                continue
+            seen.add(target)
+            deduped.append(target)
+        kept = [t for t in deduped if t in doc_ids]
+        stats.dangling_dropped += len(deduped) - len(kept)
+        stats.edges_kept += len(kept)
+        records[doc_id] = (doc_id, row.get("url"), row["text"])
+        adjacency[doc_id] = kept
+    return records, adjacency, stats

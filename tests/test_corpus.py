@@ -1,6 +1,10 @@
+import csv
+import functools
+import gc
 import io
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
+    LoadStats,
     QCrawlError,
     UnknownDoc,
     build_corpus,
@@ -22,7 +27,10 @@ from qcrawl import (
     outlinks,
     read_trace,
 )
-from qcrawl.corpus import atomic_write
+from qcrawl import corpus as corpus_module
+from qcrawl.corpus import atomic_write, parse_records
+
+from oracles import reference_build_corpus
 
 
 def test_dangling_target_dropped_and_counted():
@@ -31,8 +39,6 @@ def test_dangling_target_dropped_and_counted():
     assert list(graph.adjacency) == ["a"]
     assert graph.edge_count == 0
     assert stats.dangling_dropped == 1
-    # the record itself still remembers the dangling target
-    assert corpus["a"].outlinks == ("b",)
 
 
 def test_two_node_cycle():
@@ -103,7 +109,7 @@ def test_csv_roundtrip(tmp_path):
         'c,,"third, with comma",a\n'
     )
     corpus, graph, stats = load_corpus(str(path), "csv")
-    assert corpus["a"].outlinks == ("b", "c")
+    assert graph.adjacency["a"] == ["b", "c"]
     assert corpus["a"].url == "http://a"
     assert corpus["b"].url is None
     assert corpus["c"].text == "third, with comma"
@@ -220,6 +226,167 @@ def test_csv_errors_count_lines_not_records(tmp_path):
     path.write_text('doc_id,url,text,outlinks\na,,"two\nlines",\na,,again,\n')
     with pytest.raises(CorpusFormatError, match=rf"^{prefix}:4: duplicate doc_id 'a'$"):
         load_corpus(str(path), "csv")
+
+
+@pytest.fixture
+def csv_limit():
+    """The csv module's default field size limit, restored after the test."""
+    old = csv.field_size_limit(131_072)
+    yield 131_072
+    csv.field_size_limit(old)
+
+
+def test_csv_text_as_long_as_a_json_line(tmp_path, csv_limit):
+    path = tmp_path / "long.csv"
+    text = "w" * 200_000
+    path.write_text(f"doc_id,url,text,outlinks\na,,{text},\n")
+    corpus, _, _ = load_corpus(str(path), "csv")
+    assert corpus["a"].text == text
+    assert csv.field_size_limit() == csv_limit
+
+
+def test_csv_error_names_path_and_line(tmp_path, monkeypatch, csv_limit):
+    # With the field limit lifted, a default-dialect reader over a text file
+    # raises no csv.Error, so a strict reader stands in for one that does.
+    strict = functools.partial(csv.reader, strict=True)
+    monkeypatch.setattr(
+        corpus_module, "csv",
+        SimpleNamespace(reader=strict, Error=csv.Error, field_size_limit=csv.field_size_limit),
+    )
+    path = tmp_path / "corpus.csv"
+    path.write_text('doc_id,url,text,outlinks\na,,ok,\nb,,"x"y,\n')
+    expected = rf"^{re.escape(str(path))}:3: ',' expected after '\"'$"
+    with pytest.raises(CorpusFormatError, match=expected):
+        load_corpus(str(path), "csv")
+    assert csv.field_size_limit() == csv_limit
+
+
+# x and y are never doc_ids, so an outlink or edge naming them dangles.
+_TARGETS = st.sampled_from(["a", "b", "c", "d", "e", "x", "y"])
+
+
+@st.composite
+def _build_inputs(draw):
+    """Rows (a doc_id may repeat; outlinks absent or a list, tuple or
+    iterator; self-links, duplicates, dangling targets) and an optional edge
+    list, held as a recipe so that each builder gets fresh iterators."""
+    rows = []
+    for doc_id in draw(st.lists(st.sampled_from("abcde"), max_size=5)):
+        row = {"doc_id": doc_id, "url": draw(st.sampled_from([None, f"http://{doc_id}"]))}
+        row["text"] = draw(st.text(max_size=3))
+        shape = draw(st.sampled_from([None, list, tuple, iter]))
+        if shape is not None:
+            row["outlinks"] = (shape, draw(st.lists(_TARGETS, max_size=6)))
+        rows.append(row)
+    edges = draw(st.none() | st.tuples(
+        st.sampled_from([list, iter]), st.lists(st.tuples(_TARGETS, _TARGETS), max_size=10)
+    ))
+    return rows, edges
+
+
+def _build_outcome(build, inputs):
+    rows, edges = inputs
+    rows = [
+        {**row, "outlinks": row["outlinks"][0](row["outlinks"][1])} if "outlinks" in row else row
+        for row in rows
+    ]
+    try:
+        return build(rows, None if edges is None else edges[0](edges[1]))
+    except CorpusFormatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(inputs=_build_inputs())
+def test_build_corpus_matches_reference(inputs):
+    fast = _build_outcome(build_corpus, inputs)
+    slow = _build_outcome(reference_build_corpus, inputs)
+    if len(slow) == 2:  # a repeated doc_id
+        assert fast == slow
+        return
+    corpus, graph, stats = fast
+    records, adjacency, ref_stats = slow
+    assert list(graph.adjacency.items()) == list(adjacency.items())
+    assert [(r.doc_id, r.url, r.text) for r in corpus.values()] == list(records.values())
+    assert list(corpus) == list(records)
+    assert stats == ref_stats
+    assert stats.edges_loaded == stats.edges_kept + stats.dangling_dropped + stats.duplicate_dropped
+
+
+@pytest.fixture
+def gc_state():
+    """Set the collector on or off for a test, and restore it afterwards."""
+    was = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("clean", [True, False], ids=["clean", "error"])
+@pytest.mark.parametrize("load", ["parse_records", "build_corpus", "load_corpus"])
+def test_load_leaves_gc_as_found(tmp_path, gc_state, load, clean, caller_gc):
+    ids = "abc" if clean else "aba"
+    rows = [{"doc_id": d, "text": "x", "outlinks": ["a", "zz"]} for d in ids]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    call = {
+        "parse_records": lambda: parse_records(str(path), "jsonl"),
+        "build_corpus": lambda: build_corpus(rows),
+        "load_corpus": lambda: load_corpus(str(path), "jsonl"),
+    }[load]
+    gc_state(caller_gc)
+    if clean:
+        call()
+    else:
+        with pytest.raises(CorpusFormatError, match="duplicate doc_id"):
+            call()
+    assert gc.isenabled() is caller_gc
+
+
+def test_collector_paused_while_rows_and_records_are_built(monkeypatch, gc_state):
+    states = []
+
+    def links():
+        states.append(("build", gc.isenabled()))
+        yield "a"
+
+    def parse(path):
+        states.append(("parse", gc.isenabled()))
+        return [{"doc_id": "a", "text": "x", "outlinks": links()}]
+
+    def no_edges(path):
+        states.append(("edges", gc.isenabled()))
+
+    monkeypatch.setattr(corpus_module, "parse_jsonl", parse)
+    monkeypatch.setattr(corpus_module, "load_edges", no_edges)
+    gc_state(True)
+    _, graph, _ = load_corpus("records.jsonl", edges_path="edges.tsv")
+    assert graph.adjacency == {"a": ["a"]}
+    rows = parse_records("records.jsonl", "jsonl")
+    assert gc.isenabled()
+    build_corpus(rows)
+    assert gc.isenabled()
+    assert states == [(step, False) for step in ("parse", "edges", "build", "parse", "build")]
+
+
+def test_a_load_leaves_no_cyclic_garbage(tmp_path, gc_state):
+    rows = [
+        {"doc_id": "a", "text": "x", "outlinks": ["b", "b", "zz"]},
+        {"doc_id": "b", "text": "y", "outlinks": ["a", "a"]},
+        {"doc_id": "c", "text": "z"},
+    ]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\na\tb\nzz\ta\nb\tyy\n")
+    gc_state(True)
+    gc.collect()
+    loads = [load_corpus(str(path)), load_corpus(str(path), edges_path=str(edges))]
+    assert gc.collect() == 0
+    assert [stats for _, _, stats in loads] == [LoadStats(3, 5, 2, 1, 2), LoadStats(3, 4, 1, 2, 1)]
 
 
 # One file per line-oriented reader, each with an empty and a whitespace-only

@@ -21,7 +21,7 @@ from qcrawl import (
 
 
 def _rec(doc_id, text):
-    return DocumentRecord(doc_id=doc_id, url=None, text=text, outlinks=())
+    return DocumentRecord(doc_id=doc_id, url=None, text=text)
 
 
 class TestReferenceScorer:
