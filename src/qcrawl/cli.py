@@ -401,17 +401,17 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise QCrawlError(f"{path}: config file must hold a JSON object")
     tokens: list[str] = []
     for key, value in config.items():
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(item, (str, int, float)) for item in items):  # bool is an int
+            raise QCrawlError(f"{path}: {key!r} must be a string, number, boolean or list")
         flag = "--" + key.replace("_", "-")
         if flag in flags:
             continue
         if isinstance(value, bool):
             if value:
                 tokens.append(flag)
-        elif isinstance(value, list):
-            for item in value:
-                tokens.extend([flag, str(item)])
         else:
-            tokens.extend([flag, str(value)])
+            tokens.extend(token for item in items for token in (flag, str(item)))
     # keep the subcommand first, then config-supplied defaults, then flags
     return argv[:1] + tokens + argv[1:]
 

@@ -7,15 +7,16 @@ all judged-relevant documents in the denominator, crawled or not, so the
 metric measures crawl coverage rather than pure ranking quality.
 
 Checkpoint evaluation follows each trace once. Checkpoint prefixes are
-nested, so one index per strategy grows by the pages between consecutive
-checkpoints, holding postings only for query terms and the length of every
-page; each page is tokenised once per evaluation. N, df, dl and avgdl all
-come from integer counts, so every score equals the one an index rebuilt
-from scratch over the prefix would give.
+nested, so one index per strategy grows by one ``build_index`` step per
+checkpoint, which adds the pages since the last one, holding postings only
+for query terms and the length of every page; each page is tokenised once
+per evaluation. N, df, dl and avgdl all come from integer counts, so every
+score equals the one an index built from scratch over the prefix would give.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .corpus import DocumentRecord, read_lines, split_fields
+from .corpus import DocumentRecord, _are_tokens, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
 from .errors import CorpusFormatError, SkippedQuery, UnknownDoc
 
@@ -54,27 +55,28 @@ def _term_counts(corpus: dict[str, DocumentRecord], doc_id: str) -> tuple[int, C
     return len(tokens), Counter(tokens)
 
 
-def _set_collection_stats(index: InvertedIndex) -> None:
-    """Set N and avgdl from the lengths of the indexed documents."""
+def build_index(
+    corpus: dict[str, DocumentRecord], doc_ids, index=None, term_counts=None
+) -> InvertedIndex:
+    """Add exactly the given doc_ids, in sorted order, to ``index`` (a new one
+    without it), then set N and avgdl. ``term_counts(doc_id)`` gives a page's
+    (length, tf); by default every term is posted. A zero-token doc counts in N."""
+    ids = sorted(doc_ids)
+    if not ids:
+        raise ValueError("cannot build an index over an empty doc_id set")
+    index = InvertedIndex() if index is None else index
+    if term_counts is None:
+        term_counts = functools.partial(_term_counts, corpus)
+    for doc_id in ids:
+        length, tf = term_counts(doc_id)
+        index.doc_lengths[doc_id] = length
+        for term, count in tf.items():
+            index.postings.setdefault(term, {})[doc_id] = count
     total_tokens = sum(index.doc_lengths.values())
     if total_tokens == 0:
         raise ValueError("every document in the index has zero tokens")
     index.doc_count = len(index.doc_lengths)
     index.avgdl = total_tokens / index.doc_count
-
-
-def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
-    """Index exactly the given doc_ids (zero-token docs count with length 0)."""
-    ids = sorted(doc_ids)
-    if not ids:
-        raise ValueError("cannot build an index over an empty doc_id set")
-    index = InvertedIndex()
-    for doc_id in ids:
-        length, tf = _term_counts(corpus, doc_id)
-        index.doc_lengths[doc_id] = length
-        for term, count in tf.items():
-            index.postings.setdefault(term, {})[doc_id] = count
-    _set_collection_stats(index)
     return index
 
 
@@ -127,6 +129,8 @@ def load_queries(path: str) -> dict[str, str]:
         qid, tab, text = line.partition("\t")
         if not qid or not tab:
             raise CorpusFormatError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
+        if not _are_tokens([qid]):  # qrels ids are whitespace-split: they could never match
+            raise CorpusFormatError(f"{path}:{lineno}: query_id {qid!r} holds whitespace")
         if qid in queries:
             raise CorpusFormatError(f"{path}:{lineno}: duplicate query_id {qid!r}")
         queries[qid] = text
@@ -289,39 +293,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _prefix_indexes(
-    corpus: dict[str, DocumentRecord],
-    trace: CrawlTrace,
-    checkpoints: list[int],
-    vocabulary: set[str],
-    counted: dict[str, tuple[int, dict[str, int]]],
-):
-    """Yield (checkpoint, index) for each of the ascending checkpoints.
-
-    One index grows by the pages between consecutive checkpoints and is
-    yielded each time. It holds the length of every page in the prefix but
-    postings only for the ``vocabulary`` terms, so it ranks queries over
-    those terms as build_index over the prefix would. ``counted`` caches
-    each page's (length, vocabulary-term tf) and may be shared across traces.
-    """
-    index = InvertedIndex()
-    indexed = 0
-    for checkpoint in checkpoints:
-        check_rank(trace, checkpoint)
-        # visited sorted, as build_index does, so an unknown doc_id is reported alike
-        for doc_id in sorted(d for _, d, _ in trace.entries[indexed:checkpoint]):
-            if doc_id not in counted:
-                length, tf = _term_counts(corpus, doc_id)
-                counted[doc_id] = (length, {t: n for t, n in tf.items() if t in vocabulary})
-            length, vocabulary_tf = counted[doc_id]
-            index.doc_lengths[doc_id] = length
-            for term, n in vocabulary_tf.items():
-                index.postings.setdefault(term, {})[doc_id] = n
-        indexed = checkpoint
-        _set_collection_stats(index)
-        yield checkpoint, index
-
-
 def evaluate_checkpoints(
     corpus: dict[str, DocumentRecord],
     traces: dict[str, CrawlTrace],
@@ -353,15 +324,22 @@ def evaluate_checkpoints(
         raise ValueError("no query has judged-relevant documents")
     query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
     vocabulary = {term for terms in query_terms.values() for term in terms}
-    counted: dict[str, tuple[int, dict[str, int]]] = {}
+
+    @functools.cache  # shared across traces: each page is tokenised once
+    def query_term_counts(doc_id: str) -> tuple[int, dict[str, int]]:
+        length, tf = _term_counts(corpus, doc_id)
+        return length, {t: n for t, n in tf.items() if t in vocabulary}
 
     strategies = sorted(traces)
     recall_rows: list[RecallRow] = []
     significance_rows: list[SignificanceRow] = []
     per_checkpoint_scores: dict[int, dict[str, list[float]]] = {c: {} for c in checkpoints}
     for strategy in strategies:
-        prefixes = _prefix_indexes(corpus, traces[strategy], checkpoints, vocabulary, counted)
-        for checkpoint, index in prefixes:
+        trace, index = traces[strategy], None
+        for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
+            check_rank(trace, checkpoint)
+            segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
+            index = build_index(corpus, segment, index, query_term_counts)
             per_query: dict[str, float] = {}
             for qid in eval_qids:
                 ranked = search_topk(index, query_terms[qid], k)

@@ -3,9 +3,7 @@
 Almost everything here deliberately avoids the library's own code paths:
 textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
 the Student-t density, a full-scan hexagonal assigner, a from-scratch BM25
-recomputation, and a per-target corpus builder. The one exception is the checkpoint evaluator, which
-rebuilds a full index per prefix from the library's own ``build_index`` and
-``search_topk``, so that it checks only the incremental indexing.
+recomputation, a from-scratch index builder, and a per-target corpus builder.
 """
 
 from __future__ import annotations
@@ -188,15 +186,40 @@ def bm25_from_scratch(texts, query_terms, doc_id, tokenizer):
     return score
 
 
+def reference_build_index(corpus, doc_ids):
+    """Index built from scratch over exactly the given doc_ids, every term
+    posted; raises the library's errors with the library's messages."""
+    from collections import Counter
+
+    from qcrawl.errors import UnknownDoc
+    from qcrawl.retrieval import InvertedIndex, tokenize
+
+    ids = sorted(doc_ids)
+    if not ids:
+        raise ValueError("cannot build an index over an empty doc_id set")
+    index = InvertedIndex()
+    for doc_id in ids:
+        if doc_id not in corpus:
+            raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
+        tokens = tokenize(corpus[doc_id].text)
+        index.doc_lengths[doc_id] = len(tokens)
+        for term, count in Counter(tokens).items():
+            index.postings.setdefault(term, {})[doc_id] = count
+    total_tokens = sum(index.doc_lengths.values())
+    if total_tokens == 0:
+        raise ValueError("every document in the index has zero tokens")
+    index.doc_count = len(index.doc_lengths)
+    index.avgdl = total_tokens / index.doc_count
+    return index
+
+
 def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=0.01):
     """Checkpoint evaluation that rebuilds the whole index for every
-    (strategy, checkpoint) prefix with ``trace_prefix`` and ``build_index``."""
-    from qcrawl.crawler import trace_prefix
+    (strategy, checkpoint) prefix with ``reference_build_index``."""
     from qcrawl.retrieval import (
         EvalReport,
         RecallRow,
         SignificanceRow,
-        build_index,
         paired_t_test_bonferroni,
         recall_at_k,
         relevant_docs,
@@ -219,8 +242,11 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
     recall_rows = []
     per_checkpoint_scores = {c: {} for c in checkpoints}
     for strategy in strategies:
+        entries = traces[strategy].entries
         for checkpoint in checkpoints:
-            index = build_index(corpus, trace_prefix(traces[strategy], checkpoint))
+            if not 1 <= checkpoint <= len(entries):
+                raise ValueError(f"rank {checkpoint} out of range 1..{len(entries)}")
+            index = reference_build_index(corpus, {d for _, d, _ in entries[:checkpoint]})
             per_query = {}
             for qid in eval_qids:
                 ranked = search_topk(index, query_terms[qid], k)

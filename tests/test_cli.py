@@ -398,6 +398,9 @@ class TestStats:
         assert not out.exists()
 
 
+_NOT_A_FLAG_VALUE = " must be a string, number, boolean or list"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, corpus_files, capsys):
         cfg = corpus_files["dir"] / "run.json"
@@ -464,8 +467,11 @@ class TestConfigFile:
             ('{\n  "budget": 10\n  "strategy": "bfs"\n}\n', ":3: invalid JSON (Expecting ',' "
                                                          "delimiter)"),
             ('["budget", 10]\n', ": config file must hold a JSON object"),
+            ('{"edges": null}', ": 'edges'" + _NOT_A_FLAG_VALUE),
+            ('{"edges": {"path": "e.tsv"}}', ": 'edges'" + _NOT_A_FLAG_VALUE),
+            ('{"scores": ["t.tsv", null]}', ": 'scores'" + _NOT_A_FLAG_VALUE),
         ],
-        ids=["line-1", "line-3", "not-an-object"],
+        ids=["line-1", "line-3", "not-an-object", "null", "object", "null-in-list"],
     )
     def test_bad_config_names_the_file(self, corpus_files, capsys, text, message):
         cfg = corpus_files["dir"] / "cfg.json"

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +26,13 @@ from qcrawl import (
     synthetic_corpus,
     t_p_value,
     tokenize,
-    trace_prefix,
 )
-from qcrawl.retrieval import _prefix_indexes
-
-from oracles import bm25_from_scratch, reference_evaluate_checkpoints, student_t_two_sided_p
+from oracles import (
+    bm25_from_scratch,
+    reference_build_index,
+    reference_evaluate_checkpoints,
+    student_t_two_sided_p,
+)
 
 
 def _corpus(texts):
@@ -264,6 +265,14 @@ class TestFileLoaders:
         queries = load_queries(str(path))
         assert queries == {"q1": "hello world", "q2": "tabs\tstay in text"}
 
+    @pytest.mark.parametrize("line", ["q1 \thello", " q1\thello", "q 1\thello"])
+    def test_queries_id_with_whitespace(self, tmp_path, line):
+        # a qrels id is whitespace-split, so it could never match this query
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q0\tfine\n{line}\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: query_id"):
+            load_queries(str(path))
+
     def test_queries_duplicate_id(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\ta\nq1\tb\n")
@@ -356,6 +365,50 @@ class TestEvaluateCheckpoints:
             evaluate_checkpoints(corpus, {"bfs": doubled}, queries, qrels, k=100)
 
 
+def _assert_growth_matches_rebuild(corpus, segments):
+    """Grow one index by a build_index step per segment. After each step it
+    equals the index built from scratch over the union so far, or both fail
+    alike at that segment."""
+    index, union = None, []
+    for segment in segments:
+        union += segment
+        try:
+            expected = reference_build_index(corpus, union)
+        except (QCrawlError, ValueError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            index = build_index(corpus, segment, index)
+        except (QCrawlError, ValueError) as exc:
+            assert (type(exc), str(exc)) == expected
+            return
+        assert index == expected
+
+
+class TestGrowthStep:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        texts=st.lists(st.text(alphabet="ab -", max_size=6), min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_grown_index_equals_rebuild(self, texts, data):
+        corpus = _corpus({f"d{i}": text for i, text in enumerate(texts)})
+        ids = data.draw(st.lists(st.sampled_from([*corpus, "ghost"]), min_size=1, unique=True))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        segments = []
+        for doc_id, cut in zip(ids, cuts):
+            if cut or not segments:
+                segments.append([])
+            segments[-1].append(doc_id)
+        _assert_growth_matches_rebuild(corpus, segments)
+
+    def test_term_counts_decides_postings(self):
+        corpus = _corpus({"d1": "a b", "d2": "b c c"})
+        index = build_index(corpus, ["d2", "d1"], term_counts=lambda d: (5, {"z": 1}))
+        assert index.postings == {"z": {"d1": 1, "d2": 1}}
+        assert index.doc_lengths == {"d1": 5, "d2": 5}
+        assert (index.doc_count, index.avgdl) == (2, 5.0)
+
+
 def _outcome(evaluate, *args, **kwargs):
     """Report bytes on success, (exception type, message) on a failure."""
     try:
@@ -410,27 +463,13 @@ class TestIncrementalMatchesRebuild:
             expected = _outcome(reference_evaluate_checkpoints, *args, k=k)
             assert _outcome(evaluate_checkpoints, *args, k=k) == expected
 
-        # Recall hides score changes that keep the top k; compare indexes and full rankings
-        query_terms = [tokenize(text) for text in queries.values()]
-        vocabulary = {term for terms in query_terms for term in terms}
+        # Recall hides score changes that keep the top k; compare the grown indexes
         for trace in traces.values():
-            grown = _prefix_indexes(corpus, trace, trace.checkpoint_ranks, vocabulary, {})
-            for checkpoint in trace.checkpoint_ranks:
-                try:
-                    rebuilt = build_index(corpus, trace_prefix(trace, checkpoint))
-                except ValueError as exc:
-                    with pytest.raises(ValueError, match=re.escape(str(exc))):
-                        next(grown)
-                    break
-                at, index = next(grown)
-                assert at == checkpoint
-                assert index == replace(
-                    rebuilt,
-                    postings={t: p for t, p in rebuilt.postings.items() if t in vocabulary},
-                )
-                for terms in query_terms:
-                    ranked = search_topk(rebuilt, terms, n_nodes)
-                    assert search_topk(index, terms, n_nodes) == ranked
+            ranks = trace.checkpoint_ranks
+            doc_ids = [d for _, d, _ in trace.entries]
+            _assert_growth_matches_rebuild(
+                corpus, [doc_ids[start:end] for start, end in zip([0] + ranks, ranks)]
+            )
 
     def _hand_case(self, texts, order, checkpoints):
         corpus = _corpus(texts)
