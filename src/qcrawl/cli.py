@@ -380,12 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Expand --config FILE (or --config=FILE) into flag tokens; flags given
-    explicitly, as --flag VALUE or --flag=VALUE, win."""
+    explicitly, as --flag VALUE or --flag=VALUE, win. A JSON boolean is
+    allowed only for, and required by, a store_true flag."""
     flags = [token.partition("=")[0] for token in argv]
-    if "--config" not in flags:
-        return argv
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if "--config" not in flags or command is None:
+        return argv  # without a subcommand first, let argparse report the usage
     at = flags.index("--config")
     _, has_value, path = argv[at].partition("=")
     if not has_value:
@@ -399,12 +402,23 @@ def _apply_config(argv: list[str]) -> list[str]:
             raise QCrawlError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(config, dict):
         raise QCrawlError(f"{path}: config file must hold a JSON object")
+    switches = {
+        f
+        for a in command._actions
+        if isinstance(a, argparse._StoreTrueAction)
+        for f in a.option_strings
+    }
     tokens: list[str] = []
     for key, value in config.items():
         items = value if isinstance(value, list) else [value]
         if not all(isinstance(item, (str, int, float)) for item in items):  # bool is an int
             raise QCrawlError(f"{path}: {key!r} must be a string, number, boolean or list")
         flag = "--" + key.replace("_", "-")
+        if flag in switches:
+            if not isinstance(value, bool):
+                raise QCrawlError(f"{path}: {key!r} is an on/off flag: it must be true or false")
+        elif any(isinstance(item, bool) for item in items):
+            raise QCrawlError(f"{path}: {key!r} is not an on/off flag: it cannot be true or false")
         if flag in flags:
             continue
         if isinstance(value, bool):
@@ -421,7 +435,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config(list(argv)))
+        args = parser.parse_args(_apply_config(list(argv), parser))
         return args.func(args)
     except (QCrawlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ checkpoint, which adds the pages since the last one, holding postings only
 for query terms and the length of every page; each page is tokenised once
 per evaluation. N, df, dl and avgdl all come from integer counts, so every
 score equals the one an index built from scratch over the prefix would give.
+``search_topk`` keeps a term's BM25 weights over its posting list on the index
+until the next ``build_index`` step, so queries sharing a term compute them once.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import functools
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .corpus import DocumentRecord, _are_tokens, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
@@ -45,6 +49,10 @@ class InvertedIndex:
     doc_lengths: dict[str, int] = field(default_factory=dict)
     doc_count: int = 0
     avgdl: float = 0.0
+    # term -> weight of each posting, in postings[term] order; an array, not a dict: peak RSS
+    _weights: dict[str, array] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 def _term_counts(corpus: dict[str, DocumentRecord], doc_id: str) -> tuple[int, Counter[str]]:
@@ -65,6 +73,7 @@ def build_index(
     if not ids:
         raise ValueError("cannot build an index over an empty doc_id set")
     index = InvertedIndex() if index is None else index
+    index._weights.clear()  # N, avgdl and postings change, even if this step fails
     if term_counts is None:
         term_counts = functools.partial(_term_counts, corpus)
     for doc_id in ids:
@@ -114,12 +123,19 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
         posting = index.postings.get(term)
         if not posting:
             continue
-        idf = _idf(index, term)
-        for doc_id, tf in posting.items():
-            weight = _term_weight(idf, tf, index.doc_lengths[doc_id], index.avgdl)
+        weights = index._weights.get(term)
+        if weights is None:
+            idf, lengths, avgdl = _idf(index, term), index.doc_lengths, index.avgdl
+            weights = index._weights[term] = array(
+                "d", [_term_weight(idf, tf, lengths[d], avgdl) for d, tf in posting.items()]
+            )
+        if not scores:  # 0.0 + weight is exact, so the first term seeds the scores
+            scores = dict(zip(posting, weights))
+            continue
+        for doc_id, weight in zip(posting, weights):
             scores[doc_id] = scores.get(doc_id, 0.0) + weight
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    # two stable sorts: doc_id ascending, then score descending
+    return sorted(sorted(scores.items()), key=itemgetter(1), reverse=True)[:k]
 
 
 def load_queries(path: str) -> dict[str, str]:

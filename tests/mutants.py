@@ -11,8 +11,8 @@ killed. An ``old`` that does not occur exactly once in its file stops the
 script before any run, so a stale entry cannot pass unnoticed.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or the
-unmutated suite fails, 2 on a stale entry. Uses only the standard library;
-it is run on demand and is not part of the test suite.
+unmutated suite fails, 2 on a stale entry. Uses only the standard library.
+It is not part of the test suite; CI runs it as its own step.
 """
 
 from __future__ import annotations
@@ -48,6 +48,23 @@ MUTANTS = [
     ),
     # the growth step and the query-term index of checkpoint evaluation
     (RETRIEVAL, "ids = sorted(doc_ids)", "ids = list(doc_ids)"),
+    # the per-state weight cache and the top-k order of search_topk
+    (RETRIEVAL, "    index._weights.clear()", "    pass"),
+    (
+        RETRIEVAL,
+        "for doc_id, weight in zip(posting, weights):",
+        "for doc_id, weight in zip(sorted(posting), weights):",
+    ),
+    (
+        RETRIEVAL,
+        "scores = dict(zip(posting, weights))",
+        "scores = dict(zip(sorted(posting), weights))",
+    ),
+    (
+        RETRIEVAL,
+        "sorted(sorted(scores.items()), key=itemgetter(1), reverse=True)",
+        "sorted(scores.items(), key=itemgetter(1), reverse=True)",
+    ),
     (
         RETRIEVAL,
         "vocabulary = {term for terms in query_terms.values() for term in terms}",
@@ -70,6 +87,11 @@ MUTANTS = [
         "src/qcrawl/cli.py",
         "isinstance(item, (str, int, float))",
         "isinstance(item, (str, int, float, type(None)))",
+    ),
+    (
+        "src/qcrawl/cli.py",
+        "elif any(isinstance(item, bool) for item in items):",
+        "elif any(isinstance(item, bool) for item in items[1:]):",
     ),
 ]
 

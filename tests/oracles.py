@@ -3,7 +3,8 @@
 Almost everything here deliberately avoids the library's own code paths:
 textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
 the Student-t density, a full-scan hexagonal assigner, a from-scratch BM25
-recomputation, a from-scratch index builder, and a per-target corpus builder.
+recomputation, a from-scratch index builder, a per-query BM25 ranking, and a
+per-target corpus builder.
 """
 
 from __future__ import annotations
@@ -213,9 +214,29 @@ def reference_build_index(corpus, doc_ids):
     return index
 
 
+def reference_search_topk(index, query_terms, k):
+    """Top-k by scoring every posted doc per query with its own BM25, in the
+    library's operation order, then sorting by (-score, doc_id)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n_docs, avgdl = index.doc_count, index.avgdl
+    scores = {}
+    for term in dict.fromkeys(query_terms):
+        posting = index.postings.get(term)
+        if not posting:
+            continue
+        df = len(posting)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for doc_id, tf in posting.items():
+            norm = 1.2 * (1.0 - 0.75 + 0.75 * index.doc_lengths[doc_id] / avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (1.2 + 1.0) / (tf + norm)
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
 def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=0.01):
     """Checkpoint evaluation that rebuilds the whole index for every
-    (strategy, checkpoint) prefix with ``reference_build_index``."""
+    (strategy, checkpoint) prefix with ``reference_build_index`` and ranks it
+    with ``reference_search_topk``."""
     from qcrawl.retrieval import (
         EvalReport,
         RecallRow,
@@ -223,7 +244,6 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
         paired_t_test_bonferroni,
         recall_at_k,
         relevant_docs,
-        search_topk,
         tokenize,
     )
 
@@ -249,7 +269,7 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
             index = reference_build_index(corpus, {d for _, d, _ in entries[:checkpoint]})
             per_query = {}
             for qid in eval_qids:
-                ranked = search_topk(index, query_terms[qid], k)
+                ranked = reference_search_topk(index, query_terms[qid], k)
                 per_query[qid] = recall_at_k(ranked, qrels, qid, k)
             mean = sum(per_query.values()) / len(eval_qids)
             recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))

@@ -399,6 +399,7 @@ class TestStats:
 
 
 _NOT_A_FLAG_VALUE = " must be a string, number, boolean or list"
+_NOT_A_SWITCH = " is not an on/off flag: it cannot be true or false"
 
 
 class TestConfigFile:
@@ -470,8 +471,13 @@ class TestConfigFile:
             ('{"edges": null}', ": 'edges'" + _NOT_A_FLAG_VALUE),
             ('{"edges": {"path": "e.tsv"}}', ": 'edges'" + _NOT_A_FLAG_VALUE),
             ('{"scores": ["t.tsv", null]}', ": 'scores'" + _NOT_A_FLAG_VALUE),
+            ('{"budget": true}', ": 'budget'" + _NOT_A_SWITCH),
+            ('{"budget": false}', ": 'budget'" + _NOT_A_SWITCH),
+            ('{"scores": ["t.tsv", true]}', ": 'scores'" + _NOT_A_SWITCH),
+            ('{"undersample": true}', ": 'undersample'" + _NOT_A_SWITCH),
         ],
-        ids=["line-1", "line-3", "not-an-object", "null", "object", "null-in-list"],
+        ids=["line-1", "line-3", "not-an-object", "null", "object", "null-in-list",
+             "true-for-value", "false-for-value", "true-in-list", "switch-of-another-command"],
     )
     def test_bad_config_names_the_file(self, corpus_files, capsys, text, message):
         cfg = corpus_files["dir"] / "cfg.json"
@@ -479,6 +485,34 @@ class TestConfigFile:
         rc = main(["crawl", "--config", str(cfg)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {cfg}{message}\n"
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_switch_takes_a_boolean(self, corpus_files, capsys, value):
+        cfg = corpus_files["dir"] / "stats.json"
+        out = corpus_files["dir"] / "cfg_stats"
+        cfg.write_text(json.dumps({"undersample": value, "qrels": corpus_files["qrels"]}))
+        rc = main(["stats", "--config", str(cfg), "--scores", corpus_files["scores"],
+                   "--output", str(out)])
+        assert rc == 0
+        assert json.loads((out / "relevance_split.json").read_text())["undersampled"] is value
+
+    @pytest.mark.parametrize("value", ['"true"', "1", "[true]"])
+    def test_config_switch_rejects_other_values(self, corpus_files, capsys, value):
+        cfg = corpus_files["dir"] / "stats.json"
+        cfg.write_text(f'{{"undersample": {value}}}')
+        rc = main(["stats", "--config", str(cfg), "--scores", corpus_files["scores"]])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: 'undersample' is an on/off flag: it must be true or false\n"
+        )
+
+    def test_config_before_the_subcommand_is_a_usage_error(self, corpus_files, capsys):
+        cfg = corpus_files["dir"] / "stats.json"
+        cfg.write_text('{"undersample": true}')
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "stats", "--scores", corpus_files["scores"]])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_non_utf8_config_names_its_line(self, corpus_files, capsys):
         cfg = corpus_files["dir"] / "cfg.json"

@@ -31,6 +31,7 @@ from oracles import (
     bm25_from_scratch,
     reference_build_index,
     reference_evaluate_checkpoints,
+    reference_search_topk,
     student_t_two_sided_p,
 )
 
@@ -172,6 +173,59 @@ class TestSearchTopK:
         index = build_index(_corpus({"d": "a"}), {"d"})
         with pytest.raises(ValueError):
             search_topk(index, ["a"], 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pool=st.lists(
+            st.lists(st.sampled_from("abc-"), max_size=6).map(" ".join), min_size=1, max_size=4
+        ),
+        data=st.data(),
+    )
+    def test_growing_index_ranks_like_rebuild(self, pool, data):
+        # few distinct texts over many pages, so equal scores straddle k = 1 and 3
+        texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        corpus = _corpus({f"d{i}": text for i, text in enumerate(texts)})
+        ids = data.draw(st.permutations(sorted(corpus)))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        query = st.lists(st.sampled_from("abcz"), min_size=1, max_size=5)
+        queries = data.draw(st.lists(query, min_size=1, max_size=3))
+
+        def assert_ranks_like_rebuild(index, prefix):
+            rebuilt = reference_build_index(corpus, prefix)
+            for terms in queries:
+                for k in (1, 3, 100):
+                    assert search_topk(index, terms, k) == reference_search_topk(rebuilt, terms, k)
+
+        segments = []
+        for doc_id, cut in zip(ids, cuts):
+            if cut or not segments:
+                segments.append([])
+            segments[-1].append(doc_id)
+        index, prefix = None, []
+        for segment in segments:
+            if index is not None:
+                assert_ranks_like_rebuild(index, prefix)  # cached weights, before the growth
+            prefix += segment
+            try:
+                reference_build_index(corpus, prefix)
+            except ValueError as exc:  # every page so far has zero tokens
+                with pytest.raises(ValueError, match=str(exc)):
+                    build_index(corpus, segment, index)
+                return
+            index = build_index(corpus, segment, index)
+            assert_ranks_like_rebuild(index, prefix)
+
+    def test_search_after_growth_sees_new_collection(self):
+        corpus, query = _corpus({"d1": "a b", "d2": "a a c", "d3": "b"}), ["a", "b", "a"]
+        index = build_index(corpus, ["d1"])
+        before = search_topk(index, query, 10)
+        assert before == reference_search_topk(reference_build_index(corpus, ["d1"]), query, 10)
+        build_index(corpus, ["d3", "d2"], index)
+        assert (index.doc_count, index.avgdl) == (3, 2.0)
+        after = search_topk(index, query, 10)
+        assert after == reference_search_topk(reference_build_index(corpus, corpus), query, 10)
+        assert [d for d, _ in after] == ["d1", "d3", "d2"]
+        assert after[0][1] != before[0][1]
 
 
 class TestRecall:
