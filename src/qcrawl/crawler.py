@@ -118,7 +118,7 @@ def read_trace(path: str, corpus_ids: Container[str] | None = None) -> CrawlTrac
     """Parse a trace file written by write_trace.
 
     Line 1 is the ``#checkpoints`` header. Ranks run 1, 2, ... with no
-    doc_id repeated, every priority is a float or the sentinel, and
+    doc_id repeated, every priority is a finite float or the sentinel, and
     checkpoint ranks increase strictly within 1..len(trace). When corpus_ids
     is given, every doc_id must be in it.
     """
@@ -151,6 +151,8 @@ def read_trace(path: str, corpus_ids: Container[str] | None = None) -> CrawlTrac
             raise CorpusFormatError(
                 f"{path}:{lineno}: priority must be a float or {PRIORITY_SENTINEL!r}"
             ) from None
+        if priority is not None and not math.isfinite(priority):
+            raise CorpusFormatError(f"{path}:{lineno}: non-finite priority")
         entries.append((rank, doc_id, priority))
     previous = 0
     for checkpoint in checkpoints:

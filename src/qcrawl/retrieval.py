@@ -25,8 +25,8 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, compress, repeat
+from operator import add, itemgetter
 
 from .corpus import DocumentRecord, _are_tokens, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
@@ -36,10 +36,18 @@ K1 = 1.2
 B = 0.75
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# byte -> itself for a-z and 0-9, its lower case for A-Z, a space for all else
+_ASCII_TOKENS = bytes(
+    ord(ch.lower()) if ch.isascii() and ch.isalnum() else ord(" ") for ch in map(chr, range(256))
+)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on every non-alphanumeric character."""
+    """Lower-case, then return the maximal runs of Unicode letters and digits:
+    ``_``, punctuation and whitespace all split tokens. ASCII text takes a
+    C-level path (one byte translation, then ``split``) with identical tokens."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKENS).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -55,12 +63,16 @@ class InvertedIndex:
     )
 
 
-def _term_counts(corpus: dict[str, DocumentRecord], doc_id: str) -> tuple[int, Counter[str]]:
-    """Token count and term frequencies of one corpus document."""
+def _term_counts(
+    corpus: dict[str, DocumentRecord], doc_id: str, vocabulary: set[str] | None = None
+) -> tuple[int, dict[str, int]]:
+    """Token count and term frequencies of one corpus document; only the
+    terms in ``vocabulary`` are counted when it is given."""
     if doc_id not in corpus:
         raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
     tokens = tokenize(corpus[doc_id].text)
-    return len(tokens), Counter(tokens)
+    counted = tokens if vocabulary is None else filter(vocabulary.__contains__, tokens)
+    return len(tokens), dict(Counter(counted))  # eval caches one per page: a dict is smaller
 
 
 def build_index(
@@ -132,10 +144,13 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
         if not scores:  # 0.0 + weight is exact, so the first term seeds the scores
             scores = dict(zip(posting, weights))
             continue
-        for doc_id, weight in zip(posting, weights):
-            scores[doc_id] = scores.get(doc_id, 0.0) + weight
+        scores.update(zip(posting, map(add, map(scores.get, posting, repeat(0.0)), weights)))
+    items = scores.items()
+    if len(scores) > k:  # keep what scores at least the k-th best, ties included
+        kth = sorted(scores.values(), reverse=True)[k - 1]
+        items = compress(items, map(kth.__le__, scores.values()))
     # two stable sorts: doc_id ascending, then score descending
-    return sorted(sorted(scores.items()), key=itemgetter(1), reverse=True)[:k]
+    return sorted(sorted(items), key=itemgetter(1), reverse=True)[:k]
 
 
 def load_queries(path: str) -> dict[str, str]:
@@ -340,11 +355,10 @@ def evaluate_checkpoints(
         raise ValueError("no query has judged-relevant documents")
     query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
     vocabulary = {term for terms in query_terms.values() for term in terms}
-
-    @functools.cache  # shared across traces: each page is tokenised once
-    def query_term_counts(doc_id: str) -> tuple[int, dict[str, int]]:
-        length, tf = _term_counts(corpus, doc_id)
-        return length, {t: n for t, n in tf.items() if t in vocabulary}
+    # shared across traces: each page is tokenised once
+    query_term_counts = functools.cache(
+        functools.partial(_term_counts, corpus, vocabulary=vocabulary)
+    )
 
     strategies = sorted(traces)
     recall_rows: list[RecallRow] = []

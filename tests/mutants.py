@@ -29,6 +29,14 @@ ROOT = Path(__file__).resolve().parent.parent
 RETRIEVAL = "src/qcrawl/retrieval.py"
 
 MUTANTS = [
+    # the ASCII fast path of tokenize: its byte table and when it is taken
+    (
+        RETRIEVAL,
+        "if ch.isascii() and ch.isalnum() else",
+        'if ch.isascii() and (ch.isalnum() or ch == "_") else',
+    ),
+    (RETRIEVAL, "ord(ch.lower()) if", "ord(ch) if"),
+    (RETRIEVAL, "    if text.isascii():", "    if True:"),
     # BM25 constant, term weight and collection statistics
     (RETRIEVAL, "K1 = 1.2\n", "K1 = 1.25\n"),
     (
@@ -48,12 +56,22 @@ MUTANTS = [
     ),
     # the growth step and the query-term index of checkpoint evaluation
     (RETRIEVAL, "ids = sorted(doc_ids)", "ids = list(doc_ids)"),
+    (
+        RETRIEVAL,
+        "vocabulary = {term for terms in query_terms.values() for term in terms}",
+        "vocabulary = {term for terms in list(query_terms.values())[:-1] for term in terms}",
+    ),
+    (
+        RETRIEVAL,
+        "return len(tokens), dict(Counter(counted))",
+        "return max(len(tokens), 1), dict(Counter(counted))",
+    ),
     # the per-state weight cache and the top-k order of search_topk
     (RETRIEVAL, "    index._weights.clear()", "    pass"),
     (
         RETRIEVAL,
-        "for doc_id, weight in zip(posting, weights):",
-        "for doc_id, weight in zip(sorted(posting), weights):",
+        "scores.update(zip(posting, map(",
+        "scores.update(zip(sorted(posting), map(",
     ),
     (
         RETRIEVAL,
@@ -62,19 +80,10 @@ MUTANTS = [
     ),
     (
         RETRIEVAL,
-        "sorted(sorted(scores.items()), key=itemgetter(1), reverse=True)",
-        "sorted(scores.items(), key=itemgetter(1), reverse=True)",
+        "sorted(sorted(items), key=itemgetter(1), reverse=True)",
+        "sorted(items, key=itemgetter(1), reverse=True)",
     ),
-    (
-        RETRIEVAL,
-        "vocabulary = {term for terms in query_terms.values() for term in terms}",
-        "vocabulary = {term for terms in list(query_terms.values())[:-1] for term in terms}",
-    ),
-    (
-        RETRIEVAL,
-        "return length, {t: n for t, n in tf.items() if t in vocabulary}",
-        "return max(length, 1), {t: n for t, n in tf.items() if t in vocabulary}",
-    ),
+    (RETRIEVAL, "map(kth.__le__, scores.values())", "map(kth.__lt__, scores.values())"),
     # the qoracle frontier key without its discovery order
     (
         "src/qcrawl/crawler.py",
@@ -83,6 +92,11 @@ MUTANTS = [
     ),
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
+    (
+        "src/qcrawl/crawler.py",
+        "if priority is not None and not math.isfinite(priority):",
+        "if priority is not None and math.isnan(priority):",
+    ),
     (
         "src/qcrawl/cli.py",
         "isinstance(item, (str, int, float))",

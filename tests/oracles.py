@@ -3,13 +3,14 @@
 Almost everything here deliberately avoids the library's own code paths:
 textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
 the Student-t density, a full-scan hexagonal assigner, a from-scratch BM25
-recomputation, a from-scratch index builder, a per-query BM25 ranking, and a
-per-target corpus builder.
+recomputation, the tokenisation rule as one regex, a from-scratch index
+builder, a per-query BM25 ranking, and a per-target corpus builder.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -187,13 +188,18 @@ def bm25_from_scratch(texts, query_terms, doc_id, tokenizer):
     return score
 
 
+def reference_tokenize(text):
+    """Lower-case, then every maximal run of Unicode letters and digits."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
 def reference_build_index(corpus, doc_ids):
     """Index built from scratch over exactly the given doc_ids, every term
     posted; raises the library's errors with the library's messages."""
     from collections import Counter
 
     from qcrawl.errors import UnknownDoc
-    from qcrawl.retrieval import InvertedIndex, tokenize
+    from qcrawl.retrieval import InvertedIndex
 
     ids = sorted(doc_ids)
     if not ids:
@@ -202,7 +208,7 @@ def reference_build_index(corpus, doc_ids):
     for doc_id in ids:
         if doc_id not in corpus:
             raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
-        tokens = tokenize(corpus[doc_id].text)
+        tokens = reference_tokenize(corpus[doc_id].text)
         index.doc_lengths[doc_id] = len(tokens)
         for term, count in Counter(tokens).items():
             index.postings.setdefault(term, {})[doc_id] = count
@@ -244,7 +250,6 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
         paired_t_test_bonferroni,
         recall_at_k,
         relevant_docs,
-        tokenize,
     )
 
     if not traces:
@@ -256,7 +261,7 @@ def reference_evaluate_checkpoints(corpus, traces, queries, qrels, k=100, alpha=
     eval_qids = sorted(q for q in queries if relevant_docs(qrels, q))
     if not eval_qids:
         raise ValueError("no query has judged-relevant documents")
-    query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
+    query_terms = {qid: reference_tokenize(queries[qid]) for qid in eval_qids}
 
     strategies = sorted(traces)
     recall_rows = []

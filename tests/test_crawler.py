@@ -201,6 +201,16 @@ class TestTraceValidation:
             read_trace(path)
 
     @pytest.mark.parametrize(
+        "rows", ["1\ta\tnan\n2\tb\t-inf\n", "1\ta\t-\n2\tb\tinf\n"], ids=["nan", "inf"]
+    )
+    def test_non_finite_priority(self, tmp_path, rows):
+        path = self._write(tmp_path, "#checkpoints\t2\n" + rows)
+        bad_line = 2 if "nan" in rows else 3
+        expected = rf"^{re.escape(path)}:{bad_line}: non-finite priority$"
+        with pytest.raises(CorpusFormatError, match=expected):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
         "ranks",
         ["0\t2", "3", "1\t3", "2\t1", "1\t1"],
         ids=["zero", "past_end", "one_past_end", "decreasing", "repeated"],

@@ -36,6 +36,8 @@ class TestReferenceScorer:
             score_text_reference("")
         with pytest.raises(EmptyText):
             score_text_reference("!!! ...")
+        with pytest.raises(EmptyText):
+            score_text_reference("_-_ \x1c\x0b\x7f")
 
     def test_range_and_zero_condition(self):
         rng = np.random.default_rng(5)

@@ -32,6 +32,7 @@ from oracles import (
     reference_build_index,
     reference_evaluate_checkpoints,
     reference_search_topk,
+    reference_tokenize,
     student_t_two_sided_p,
 )
 
@@ -57,6 +58,21 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("top10 results") == ["top10", "results"]
+
+    def test_underscore_and_control_bytes_split(self):
+        assert tokenize("A_B\x1fc") == ["a", "b", "c"]
+
+    def test_one_non_ascii_character_keeps_the_ascii_tokens(self):
+        text = "Top10 RESULTS_for\x0cyou\x0bNOW"
+        assert tokenize(text) == ["top10", "results", "for", "you", "now"]
+        assert tokenize(text + " é") == ["top10", "results", "for", "you", "now", "é"]
+        assert tokenize(text.replace("NOW", "NÖW")) == ["top10", "results", "for", "you", "nöw"]
+
+    # every ASCII code point and a few non-ASCII letters, digits and separators
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(st.text(st.sampled_from([chr(c) for c in range(128)] + list("éßİ²٣\x85Ⅻ"))))
+    def test_matches_reference_rule(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestBuildIndex:
