@@ -33,7 +33,6 @@ _SUBMODULE_OF = {
     "UnknownDoc": "errors",
     "WebGraph": "corpus",
     "ZeroWidth": "errors",
-    "bm25_score": "retrieval",
     "build_corpus": "corpus",
     "build_index": "retrieval",
     "correlation_study": "analytics",

@@ -12,8 +12,10 @@ checkpoint, which adds the pages since the last one, holding postings only
 for query terms and the length of every page; each page is tokenised once
 per evaluation. N, df, dl and avgdl all come from integer counts, so every
 score equals the one an index built from scratch over the prefix would give.
-``search_topk`` keeps a term's BM25 weights over its posting list on the index
-until the next ``build_index`` step, so queries sharing a term compute them once.
+Ranking runs on numpy arrays: the postings are weighed once per index state,
+and a search sums each doc's weights in query-term order. Evaluation runs in
+two phases: the recall phase returns only recall rows, so its index and
+tokenise cache are freed before the t-tests import scipy.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import functools
 import json
 import math
 import re
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, compress, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, combinations, count
+from operator import itemgetter
 
 from .corpus import DocumentRecord, _are_tokens, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
@@ -57,10 +58,8 @@ class InvertedIndex:
     doc_lengths: dict[str, int] = field(default_factory=dict)
     doc_count: int = 0
     avgdl: float = 0.0
-    # term -> weight of each posting, in postings[term] order; an array, not a dict: peak RSS
-    _weights: dict[str, array] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    # ranking arrays of this index state, made by the first search after a build_index step
+    _ranking: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _term_counts(
@@ -85,7 +84,7 @@ def build_index(
     if not ids:
         raise ValueError("cannot build an index over an empty doc_id set")
     index = InvertedIndex() if index is None else index
-    index._weights.clear()  # N, avgdl and postings change, even if this step fails
+    index._ranking = None  # N, avgdl and postings change, even if this step fails
     if term_counts is None:
         term_counts = functools.partial(_term_counts, corpus)
     for doc_id in ids:
@@ -101,56 +100,58 @@ def build_index(
     return index
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    df = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-
-
 def _term_weight(idf: float, tf: int, dl: int, avgdl: float) -> float:
-    """BM25 weight of a term occurring tf times in a document of length dl."""
+    """BM25 weight of tf occurrences in a document of length dl; elementwise on arrays."""
     norm = K1 * (1.0 - B + B * dl / avgdl)
     return idf * tf * (K1 + 1.0) / (tf + norm)
 
 
-def bm25_score(index: InvertedIndex, query_terms, doc_id: str) -> float:
-    """BM25 score of one document; distinct query terms, absent terms add 0."""
-    if doc_id not in index.doc_lengths:
-        raise UnknownDoc(f"doc_id not in index: {doc_id!r}")
-    dl = index.doc_lengths[doc_id]
-    score = 0.0
-    for term in dict.fromkeys(query_terms):
-        tf = index.postings.get(term, {}).get(doc_id, 0)
-        if tf == 0:
-            continue
-        score += _term_weight(_idf(index, term), tf, dl, index.avgdl)
-    return score
+def _weigh_postings(index: InvertedIndex) -> tuple:
+    """Number the posted docs 0.. in order of first posting and weigh every posting
+    of the index state in one pass over float64 arrays. Returns (doc_id by number,
+    posting doc numbers, posting weights, term -> slice of both)."""
+    import numpy as np
+
+    postings, lists = index.postings, index.postings.values()
+    dfs = list(map(len, lists))
+    doc_ids = list(dict.fromkeys(chain.from_iterable(lists)))
+    number = dict(zip(doc_ids, count()))
+    docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp, sum(dfs))
+    tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.float64, sum(dfs))
+    lengths = np.fromiter(map(index.doc_lengths.__getitem__, doc_ids), np.float64, len(doc_ids))
+    idf = [math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5)) for df in dfs]
+    weights = _term_weight(np.repeat(idf, dfs), tf, lengths[docs], index.avgdl)
+    spans = {term: slice(end - df, end) for term, df, end in zip(postings, dfs, accumulate(dfs))}
+    return doc_ids, docs, weights, spans
 
 
 def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, float]]:
     """Top-k matching documents, score descending, ties by doc_id ascending."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
-    for term in dict.fromkeys(query_terms):
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        weights = index._weights.get(term)
-        if weights is None:
-            idf, lengths, avgdl = _idf(index, term), index.doc_lengths, index.avgdl
-            weights = index._weights[term] = array(
-                "d", [_term_weight(idf, tf, lengths[d], avgdl) for d, tf in posting.items()]
-            )
-        if not scores:  # 0.0 + weight is exact, so the first term seeds the scores
-            scores = dict(zip(posting, weights))
-            continue
-        scores.update(zip(posting, map(add, map(scores.get, posting, repeat(0.0)), weights)))
-    items = scores.items()
-    if len(scores) > k:  # keep what scores at least the k-th best, ties included
-        kth = sorted(scores.values(), reverse=True)[k - 1]
-        items = compress(items, map(kth.__le__, scores.values()))
-    # two stable sorts: doc_id ascending, then score descending
-    return sorted(sorted(items), key=itemgetter(1), reverse=True)[:k]
+    if index._ranking is None:
+        index._ranking = _weigh_postings(index)
+    doc_ids, docs, weights, spans = index._ranking
+    hits = [spans[t] for t in dict.fromkeys(query_terms) if t in spans]
+    if not hits:
+        return []
+    # each doc's weights are added from 0.0 in query-term order
+    docs = np.concatenate([docs[hit] for hit in hits])
+    summed = np.bincount(docs, np.concatenate([weights[hit] for hit in hits]))
+    if len(docs) > k:  # a doc matched by several terms is in docs once per term: keep one
+        docs = np.sort(docs)
+        docs = docs[np.concatenate(([True], docs[1:] != docs[:-1]))]
+    scores, tail = summed[docs], []
+    if len(docs) > k:  # cut at the k-th best score; its ties go to the smallest doc_ids
+        kth = np.partition(scores, len(docs) - k)[len(docs) - k]
+        tied = sorted(map(doc_ids.__getitem__, docs[scores == kth].tolist()))
+        above = scores > kth
+        docs, scores = docs[above], scores[above]
+        tail = [(doc_id, float(kth)) for doc_id in tied[: k - len(docs)]]
+    head = dict(zip(map(doc_ids.__getitem__, docs.tolist()), scores.tolist()))  # a doc once
+    return sorted(sorted(head.items()), key=itemgetter(1), reverse=True) + tail
 
 
 def load_queries(path: str) -> dict[str, str]:
@@ -324,6 +325,31 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _recall_phase(corpus, traces, checkpoints, eval_qids, queries, qrels, k) -> list[RecallRow]:
+    """One recall row per (strategy, checkpoint). The index and the tokenise
+    cache live only in this call, so they are freed when it returns."""
+    query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
+    vocabulary = {term for terms in query_terms.values() for term in terms}
+    # shared across traces: each page is tokenised once
+    query_term_counts = functools.cache(
+        functools.partial(_term_counts, corpus, vocabulary=vocabulary)
+    )
+    recall_rows: list[RecallRow] = []
+    for strategy in sorted(traces):
+        trace, index = traces[strategy], None
+        for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
+            check_rank(trace, checkpoint)
+            segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
+            index = build_index(corpus, segment, index, query_term_counts)
+            per_query = {
+                qid: recall_at_k(search_topk(index, query_terms[qid], k), qrels, qid, k)
+                for qid in eval_qids
+            }
+            mean = sum(per_query.values()) / len(eval_qids)
+            recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))
+    return recall_rows
+
+
 def evaluate_checkpoints(
     corpus: dict[str, DocumentRecord],
     traces: dict[str, CrawlTrace],
@@ -353,39 +379,14 @@ def evaluate_checkpoints(
     eval_qids = sorted(q for q in queries if relevant_docs(qrels, q))
     if not eval_qids:
         raise ValueError("no query has judged-relevant documents")
-    query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
-    vocabulary = {term for terms in query_terms.values() for term in terms}
-    # shared across traces: each page is tokenised once
-    query_term_counts = functools.cache(
-        functools.partial(_term_counts, corpus, vocabulary=vocabulary)
-    )
+    recall_rows = _recall_phase(corpus, traces, checkpoints, eval_qids, queries, qrels, k)
 
-    strategies = sorted(traces)
-    recall_rows: list[RecallRow] = []
     significance_rows: list[SignificanceRow] = []
-    per_checkpoint_scores: dict[int, dict[str, list[float]]] = {c: {} for c in checkpoints}
-    for strategy in strategies:
-        trace, index = traces[strategy], None
-        for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
-            check_rank(trace, checkpoint)
-            segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
-            index = build_index(corpus, segment, index, query_term_counts)
-            per_query: dict[str, float] = {}
-            for qid in eval_qids:
-                ranked = search_topk(index, query_terms[qid], k)
-                per_query[qid] = recall_at_k(ranked, qrels, qid, k)
-            mean = sum(per_query.values()) / len(eval_qids)
-            recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))
-            per_checkpoint_scores[checkpoint][strategy] = [per_query[q] for q in eval_qids]
-
-    if len(strategies) >= 2 and len(eval_qids) >= 2:
+    if len(traces) >= 2 and len(eval_qids) >= 2:
         for checkpoint in checkpoints:
-            tests = paired_t_test_bonferroni(per_checkpoint_scores[checkpoint], alpha)
-            for pair in sorted(tests):
-                res = tests[pair]
-                significance_rows.append(
-                    SignificanceRow(
-                        checkpoint, pair, res.t_stat, res.p_raw, res.p_corrected, res.significant
-                    )
-                )
+            # each per_query dict is in eval_qids order, so the score lists align
+            rows = [row for row in recall_rows if row.checkpoint == checkpoint]
+            scores = {row.strategy: list(row.per_query.values()) for row in rows}
+            for pair, res in sorted(paired_t_test_bonferroni(scores, alpha).items()):
+                significance_rows.append(SignificanceRow(checkpoint, pair, **vars(res)))
     return EvalReport(k, alpha, eval_qids, recall_rows, significance_rows)

@@ -66,24 +66,26 @@ MUTANTS = [
         "return len(tokens), dict(Counter(counted))",
         "return max(len(tokens), 1), dict(Counter(counted))",
     ),
-    # the per-state weight cache and the top-k order of search_topk
-    (RETRIEVAL, "    index._weights.clear()", "    pass"),
+    # the per-state weight arrays, their accumulation and the top-k cut of search_topk
+    (RETRIEVAL, "    index._ranking = None", "    pass"),
+    (RETRIEVAL, "for df in dfs]", "for df in reversed(dfs)]"),
     (
         RETRIEVAL,
-        "scores.update(zip(posting, map(",
-        "scores.update(zip(sorted(posting), map(",
+        "for t in dict.fromkeys(query_terms) if",
+        "for t in reversed(dict.fromkeys(query_terms)) if",
     ),
     (
         RETRIEVAL,
-        "scores = dict(zip(posting, weights))",
-        "scores = dict(zip(sorted(posting), weights))",
+        "tied = sorted(map(doc_ids.__getitem__,",
+        "tied = list(map(doc_ids.__getitem__,",
     ),
+    (RETRIEVAL, "above = scores > kth", "above = scores >= kth"),
     (
         RETRIEVAL,
-        "sorted(sorted(items), key=itemgetter(1), reverse=True)",
-        "sorted(items, key=itemgetter(1), reverse=True)",
+        "sorted(sorted(head.items()), key=itemgetter(1), reverse=True)",
+        "sorted(head.items(), key=itemgetter(1), reverse=True)",
     ),
-    (RETRIEVAL, "map(kth.__le__, scores.values())", "map(kth.__lt__, scores.values())"),
+    (RETRIEVAL, "docs[1:] != docs[:-1]", "docs[1:] >= docs[:-1]"),
     # the qoracle frontier key without its discovery order
     (
         "src/qcrawl/crawler.py",

@@ -13,7 +13,6 @@ import pytest
 
 from qcrawl import (
     CrawlTrace,
-    bm25_score,
     build_corpus,
     build_index,
     correlation_study,
@@ -26,6 +25,7 @@ from qcrawl import (
     pearson,
     run_crawl,
     score_batch,
+    search_topk,
     synthetic_corpus,
     t_p_value,
     write_trace,
@@ -51,7 +51,8 @@ def test_bm25_hand_case():
     rows = [{"doc_id": "d", "url": None, "text": "a b", "outlinks": []}]
     corpus, _, _ = build_corpus(rows)
     index = build_index(corpus, {"d"})
-    assert bm25_score(index, ["a"], "d") == pytest.approx(math.log(4 / 3), abs=1e-6)
+    [(doc_id, score)] = search_topk(index, ["a"], 100)
+    assert doc_id == "d" and score == pytest.approx(math.log(4 / 3), abs=1e-6)
     assert time.perf_counter() - start < 1.0
     _ok("BM25 hand case: single-doc 'a b', query 'a' -> ln(4/3) +- 1e-6")
 

@@ -1,6 +1,6 @@
 """Each subcommand imports only what it runs, and the public API resolves
-lazily: scipy is loaded only by eval's t-test, numpy only by stats, the
-analytics functions and synthetic_corpus."""
+lazily: scipy is loaded only by eval's t-test, numpy only by eval's ranking,
+stats, the analytics functions and synthetic_corpus."""
 
 import json
 import os
@@ -66,6 +66,11 @@ def test_stats_loads_no_scipy(files):
 def test_load_corpus_through_the_package_loads_neither(files):
     body = "import qcrawl\nqcrawl.load_corpus(sys.argv[1])"
     assert _heavy_modules(body, "corpus.jsonl", cwd=files) == []
+
+
+def test_importing_retrieval_loads_neither(tmp_path):
+    # numpy is imported by the ranking path, scipy by the t-test, each on first use
+    assert _heavy_modules("import qcrawl.retrieval", cwd=tmp_path) == []
 
 
 def test_every_public_name_is_its_submodule_object():

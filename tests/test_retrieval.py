@@ -1,18 +1,19 @@
+import gc
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qcrawl import (
     CorpusFormatError,
     CrawlTrace,
+    InvertedIndex,
     QCrawlError,
     SkippedQuery,
     UnknownDoc,
-    bm25_score,
     build_corpus,
     build_index,
     evaluate_checkpoints,
@@ -27,6 +28,8 @@ from qcrawl import (
     t_p_value,
     tokenize,
 )
+from qcrawl import retrieval
+
 from oracles import (
     bm25_from_scratch,
     reference_build_index,
@@ -35,6 +38,16 @@ from oracles import (
     reference_tokenize,
     student_t_two_sided_p,
 )
+
+
+def _segments(order, cuts):
+    """Split ``order`` into growth steps, a new one where ``cuts`` is true."""
+    segments = []
+    for doc_id, cut in zip(order, cuts):
+        if cut or not segments:
+            segments.append([])
+        segments[-1].append(doc_id)
+    return segments
 
 
 def _corpus(texts):
@@ -109,17 +122,25 @@ class TestBuildIndex:
 
 
 class TestBM25:
+    """Hand-derived BM25 values hold for the oracle and for search_topk alike."""
+
     def test_hand_case(self):
         index = build_index(_corpus({"d": "a b"}), {"d"})
-        assert bm25_score(index, ["a"], "d") == pytest.approx(math.log(4 / 3), abs=1e-12)
+        for search in (search_topk, reference_search_topk):
+            [(doc_id, score)] = search(index, ["a"], 10)
+            assert doc_id == "d"
+            assert score == pytest.approx(math.log(4 / 3), abs=1e-12)
 
     def test_absent_term_contributes_zero(self):
-        index = build_index(_corpus({"d": "a b"}), {"d"})
-        assert bm25_score(index, ["zzz"], "d") == 0.0
+        index = build_index(_corpus({"d": "a b", "e": "c"}), {"d", "e"})
+        for search in (search_topk, reference_search_topk):
+            assert search(index, ["zzz"], 10) == []
+            assert search(index, ["a", "zzz"], 10) == search(index, ["a"], 10)
 
     def test_duplicate_query_terms_counted_once(self):
         index = build_index(_corpus({"d": "a b", "e": "a"}), {"d", "e"})
-        assert bm25_score(index, ["a", "a"], "d") == bm25_score(index, ["a"], "d")
+        for search in (search_topk, reference_search_topk):
+            assert search(index, ["a", "a"], 10) == search(index, ["a"], 10)
 
     def test_idf_positive_for_every_indexed_term(self):
         rng = np.random.default_rng(9)
@@ -142,15 +163,14 @@ class TestBM25:
                 f"d{i}": " ".join(rng.choice(vocab, size=rng.integers(1, 20)))
                 for i in range(int(rng.integers(2, 12)))
             }
-            corpus = _corpus(texts)
-            index = build_index(corpus, set(texts))
+            index = reference_build_index(_corpus(texts), set(texts))
             query = list(rng.choice(vocab, size=4))
-            for doc_id in texts:
-                expected = bm25_from_scratch(texts, query, doc_id, tokenize)
-                assert bm25_score(index, query, doc_id) == pytest.approx(expected, abs=1e-12)
+            for doc_id, score in reference_search_topk(index, query, 100):
+                expected = bm25_from_scratch(texts, query, doc_id, reference_tokenize)
+                assert score == pytest.approx(expected, abs=1e-12)
 
     def test_search_accumulation_equals_pointwise(self):
-        # term-at-a-time accumulation must equal the per-doc recomputation
+        # term-at-a-time accumulation over arrays equals the per-doc recomputation
         rng = np.random.default_rng(13)
         vocab = [f"w{i}" for i in range(10)]
         texts = {
@@ -159,13 +179,10 @@ class TestBM25:
         }
         index = build_index(_corpus(texts), set(texts))
         query = ["w1", "w3", "w1", "w7"]
-        for doc_id, score in search_topk(index, query, 100):
-            assert score == bm25_score(index, query, doc_id)
-
-    def test_unknown_doc(self):
-        index = build_index(_corpus({"d": "a"}), {"d"})
-        with pytest.raises(UnknownDoc):
-            bm25_score(index, ["a"], "ghost")
+        ranked = search_topk(index, query, 100)
+        assert len(ranked) > 1
+        for doc_id, score in ranked:
+            assert score == bm25_from_scratch(texts, query, doc_id, reference_tokenize)
 
 
 class TestSearchTopK:
@@ -212,13 +229,8 @@ class TestSearchTopK:
                 for k in (1, 3, 100):
                     assert search_topk(index, terms, k) == reference_search_topk(rebuilt, terms, k)
 
-        segments = []
-        for doc_id, cut in zip(ids, cuts):
-            if cut or not segments:
-                segments.append([])
-            segments[-1].append(doc_id)
         index, prefix = None, []
-        for segment in segments:
+        for segment in _segments(ids, cuts):
             if index is not None:
                 assert_ranks_like_rebuild(index, prefix)  # cached weights, before the growth
             prefix += segment
@@ -242,6 +254,73 @@ class TestSearchTopK:
         assert after == reference_search_topk(reference_build_index(corpus, corpus), query, 10)
         assert [d for d, _ in after] == ["d1", "d3", "d2"]
         assert after[0][1] != before[0][1]
+
+
+def _grown(corpus, order, cuts):
+    """Grow one index by a build_index step per segment; yield it after each."""
+    index = None
+    for segment in _segments(order, cuts):
+        index = build_index(corpus, segment, index)
+        yield index
+
+
+def _assert_ranks_like_oracle(index, queries):
+    for terms in queries:
+        for k in (1, 3, 100):
+            got, expected = search_topk(index, terms, k), reference_search_topk(index, terms, k)
+            assert [d for d, _ in got] == [d for d, _ in expected]
+            assert [s.hex() for _, s in got] == [s.hex() for _, s in expected]  # bit-equal
+
+
+class TestRankingMatchesOracle:
+    """search_topk ranks a grown index as the per-query oracle does, scores bit-equal.
+    Growth steps enter pages out of doc_id order, so the order in which search_topk
+    numbers the posted docs is not doc_id order. A failure is reported unshrunk:
+    shrinking examples this large takes minutes."""
+
+    NO_SHRINK = (Phase.explicit, Phase.generate)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        n_pages=st.integers(1, 160),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=5), min_size=1),
+    )
+    def test_tie_heavy(self, n_pages, seed, queries):
+        # every page has 8 tokens and tf <= 2 of each query term, so many docs tie at the k-th
+        rng = np.random.default_rng(seed)
+        texts = {}
+        for i, counts in enumerate(rng.integers(0, 3, size=(n_pages, 4)).tolist()):
+            words = [term for term, tf in zip("abcd", counts) for _ in range(tf)]
+            texts[f"d{i}"] = " ".join(words + ["z"] * (8 - len(words)))
+        order = [f"d{i}" for i in rng.permutation(n_pages)]
+        cuts = (rng.random(n_pages) < 0.2).tolist()
+        for index in _grown(_corpus(texts), order, cuts):
+            _assert_ranks_like_oracle(index, queries)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        postings=st.lists(
+            st.dictionaries(st.integers(0, 39), st.integers(1, 3), min_size=1, max_size=10),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_short_postings(self, postings, data):
+        # term j is posted on 1-10 of 40 pages: searches touch a few postings each
+        words = {}
+        for j, posting in enumerate(postings):
+            for page, tf in posting.items():
+                words.setdefault(f"p{page}", []).extend([f"t{j}"] * tf)
+        corpus = _corpus({doc_id: " ".join(terms) for doc_id, terms in words.items()})
+        order = data.draw(st.permutations(sorted(corpus)))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        vocab = [f"t{j}" for j in range(len(postings) + 1)]
+        query = st.lists(st.sampled_from(vocab), min_size=1, max_size=4)
+        queries = data.draw(st.lists(query, min_size=1, max_size=4))
+        for index in _grown(corpus, order, cuts):
+            _assert_ranks_like_oracle(index, queries)
 
 
 class TestRecall:
@@ -427,6 +506,26 @@ class TestEvaluateCheckpoints:
         assert sum(o["type"] == "recall" for o in objs) == 3 * n_checkpoints
         assert sum(o["type"] == "significance" for o in objs) == 3 * n_checkpoints
 
+    def test_index_is_freed_before_the_t_tests(self, monkeypatch):
+        # the recall phase returns only rows and scores, so scipy loads into freed memory
+        corpus, traces, queries, qrels = self._setup()
+        t_test, calls = retrieval.paired_t_test_bonferroni, []
+
+        def indexes():
+            return {id(o) for o in gc.get_objects() if isinstance(o, InvertedIndex)}
+
+        alive = indexes()  # held by earlier tests, if any
+
+        def checked(*args, **kwargs):
+            if not calls:
+                assert indexes() <= alive
+            calls.append(1)
+            return t_test(*args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "paired_t_test_bonferroni", checked)
+        report = evaluate_checkpoints(corpus, traces, queries, qrels, k=100)
+        assert calls and report.significance_rows
+
     def test_duplicate_doc_id_in_trace(self):
         corpus, traces, queries, qrels = self._setup()
         entries = traces["bfs"].entries[:4]
@@ -464,12 +563,7 @@ class TestGrowthStep:
         corpus = _corpus({f"d{i}": text for i, text in enumerate(texts)})
         ids = data.draw(st.lists(st.sampled_from([*corpus, "ghost"]), min_size=1, unique=True))
         cuts = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
-        segments = []
-        for doc_id, cut in zip(ids, cuts):
-            if cut or not segments:
-                segments.append([])
-            segments[-1].append(doc_id)
-        _assert_growth_matches_rebuild(corpus, segments)
+        _assert_growth_matches_rebuild(corpus, _segments(ids, cuts))
 
     def test_term_counts_decides_postings(self):
         corpus = _corpus({"d1": "a b", "d2": "b c c"})
