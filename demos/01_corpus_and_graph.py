@@ -12,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from qcrawl import load_corpus, load_edges, oracle_text, outlinks
+from qcrawl import load_corpus, load_edges
 
 workdir = Path(tempfile.mkdtemp(prefix="qcrawl-demo-"))
 
@@ -36,8 +36,8 @@ print(f"duplicates     : {stats.duplicate_dropped}  (the repeated 'blog' link)")
 print()
 
 # the oracle view: text of a page before it would be "downloaded"
-print("oracle_text('blog') ->", repr(oracle_text(corpus, "blog")))
-print("outlinks('home')    ->", outlinks(graph, "home"))
+print("corpus['blog'].text     ->", repr(corpus["blog"].text))
+print("graph.adjacency['home'] ->", graph.adjacency["home"])
 print()
 
 # outlinks can also be shipped separately as a tab-separated edge list

@@ -48,8 +48,6 @@ _SUBMODULE_OF = {
     "load_seeds": "corpus",
     "mean_outlink_quality": "quality",
     "ols_regression": "analytics",
-    "oracle_text": "corpus",
-    "outlinks": "corpus",
     "paired_t_test_bonferroni": "retrieval",
     "pearson": "analytics",
     "quartiles": "analytics",

@@ -17,6 +17,10 @@ from .corpus import WebGraph
 from .errors import MissingScore, UndefinedCorrelation, ZeroWidth
 from .quality import DEFAULT_BINS, DEFAULT_GRIDSIZE, DEFAULT_MIN_COUNT, mean_outlink_quality
 
+# hexbin assigns points in blocks of this many, so that its per-candidate
+# arrays stay small beside the points themselves.
+_HEXBIN_BLOCK = 4096
+
 
 @dataclass
 class Histogram:
@@ -30,10 +34,6 @@ class HexbinGrid:
     min_count: int
     cells: list[tuple[float, float, int]]
     n_points: int
-
-    @property
-    def kept_count(self) -> int:
-        return sum(c for _, _, c in self.cells)
 
 
 @dataclass
@@ -110,64 +110,47 @@ def undersample(a, b, rng_seed: int):
     return a, shrink(b, len(a))
 
 
-def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
+def _finite_series(xs, ys):
+    """Two equal-length float arrays of at least two samples, all finite."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size:
         raise ValueError("series must have equal length")
     if x.size < 2:
         raise ValueError("need at least two samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("series hold a non-finite value")
+    return x, y
+
+
+def pearson(xs, ys) -> float:
+    """Sample Pearson correlation coefficient."""
+    x, y = _finite_series(xs, ys)
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelation("a series has zero variance")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    sxy = float(np.dot(dx, dy))
+    if not (0.0 < sxx * syy < math.inf and math.isfinite(sxy)):
+        raise ValueError("correlation sums out of float64 range")
+    r = sxy / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
 
 def ols_regression(xs, ys) -> tuple[float, float]:
     """Least-squares line: slope = cov/var(x), intercept = mean residual."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.size != y.size:
-        raise ValueError("series must have equal length")
-    if x.size < 2:
-        raise ValueError("need at least two samples")
+    x, y = _finite_series(xs, ys)
     dx = x - x.mean()
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
         raise ValueError("xs are constant; regression line is undefined")
     slope = float(np.dot(dx, y - y.mean())) / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
+    if not (math.isfinite(sxx) and math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError("regression line overflows float64")
     return slope, intercept
-
-
-def _nearest_cell(sx_val: float, sy_val: float):
-    """Best cell for one scaled point over both lattices.
-
-    Candidates are the four surrounding centers of each lattice; the winner
-    minimizes (squared distance, lattice flag, center x, center y), which
-    makes cross-lattice ties fall to the integer lattice (flag 0) and makes
-    within-lattice ties deterministic.
-    """
-    best = None
-    best_key = None
-    for flag, off in ((0, 0.0), (1, 0.5)):
-        fx = math.floor(sx_val - off)
-        fy = math.floor(sy_val - off)
-        for i in (fx, fx + 1):
-            cx = i + off
-            for j in (fy, fy + 1):
-                cy = j + off
-                d2 = (sx_val - cx) ** 2 + (sy_val - cy) ** 2
-                key = (d2, flag, cx, cy)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (flag, i, j)
-    return best
 
 
 def hexbin(points, gridsize: int = DEFAULT_GRIDSIZE, min_count: int = DEFAULT_MIN_COUNT) -> HexbinGrid:
@@ -176,7 +159,15 @@ def hexbin(points, gridsize: int = DEFAULT_GRIDSIZE, min_count: int = DEFAULT_MI
     x is rescaled to [0, gridsize] and y to [0, gridsize/sqrt(3)] over the
     bounding box; each point goes to its nearest lattice center in scaled
     space; cells with fewer than min_count points are dropped; reported
-    centers are in original coordinates.
+    centers are in original coordinates, in (lattice flag, i, j) order.
+
+    Tie rule: the candidates are the four surrounding centers (i + off,
+    j + off) of the integer lattice (flag 0, off 0) and of the half-offset
+    lattice (flag 1, off 0.5). The winner minimizes (squared distance, flag,
+    center x, center y), so a cross-lattice tie falls to the integer lattice
+    and a within-lattice tie to the smaller x, then the smaller y. Points are
+    assigned as arrays, a block at a time: the candidates are visited in that
+    key order and a running minimum changes only on a strictly smaller distance.
     """
     pts = list(points)
     if not pts:
@@ -185,22 +176,47 @@ def hexbin(points, gridsize: int = DEFAULT_GRIDSIZE, min_count: int = DEFAULT_MI
         raise ValueError("gridsize must be >= 1")
     xs = np.asarray([p[0] for p in pts], dtype=float)
     ys = np.asarray([p[1] for p in pts], dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("points hold a non-finite value")
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     if xmin == xmax or ymin == ymax:
         raise ValueError("degenerate bounding box (zero width or height)")
     sx = gridsize / (xmax - xmin)
     sy = (gridsize / math.sqrt(3.0)) / (ymax - ymin)
-    counts: dict[tuple[int, int, int], int] = {}
-    for px, py in zip(xs, ys):
-        key = _nearest_cell((px - xmin) * sx, (py - ymin) * sy)
-        counts[key] = counts.get(key, 0) + 1
-    cells = []
-    for (flag, i, j), count in sorted(counts.items()):
-        if count < min_count:
-            continue
-        off = 0.5 * flag
-        cells.append((xmin + (i + off) / sx, ymin + (j + off) / sy, count))
+    if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
+        raise ValueError("bounding box too wide or too narrow to scale to the grid")
+    # Each point's cell as one exact float64 code, ascending in (flag, i, j):
+    # i + 1 and j + 1 lie in [0, floor(max) + 2] as scaled points lie in [0, max].
+    ni, nj = int((xmax - xmin) * sx) + 3, int((ymax - ymin) * sy) + 3
+    if 2 * ni * nj > 2**53:
+        raise ValueError("gridsize too large to number the cells")
+    codes = np.empty(len(pts))
+    for start in range(0, len(pts), _HEXBIN_BLOCK):
+        block = slice(start, start + _HEXBIN_BLOCK)
+        px = (xs[block] - xmin) * sx
+        py = (ys[block] - ymin) * sy
+        best, code = np.full(len(px), np.inf), codes[block]
+        for flag, off in ((0, 0.0), (1, 0.5)):
+            fx = np.floor(px - off)
+            fy = np.floor(py - off)
+            for i in (fx, fx + 1):
+                dx2 = (px - (i + off)) ** 2
+                row = (flag * ni + i + 1) * nj
+                for j in (fy, fy + 1):
+                    d2 = dx2 + (py - (j + off)) ** 2
+                    win = d2 < best
+                    np.copyto(best, d2, where=win)
+                    np.copyto(code, row + j + 1, where=win)
+    # np.unique, unlike np.bincount, takes memory in proportion to the points.
+    occupied, counts = np.unique(codes, return_counts=True)
+    kept = counts >= min_count
+    cell, j = np.divmod(occupied[kept], nj)
+    flag, i = np.divmod(cell, ni)
+    off = 0.5 * flag
+    centers_x = (xmin + (i - 1 + off) / sx).tolist()
+    centers_y = (ymin + (j - 1 + off) / sy).tolist()
+    cells = list(zip(centers_x, centers_y, counts[kept].tolist()))
     return HexbinGrid(gridsize=gridsize, min_count=min_count, cells=cells, n_points=len(pts))
 
 

@@ -294,18 +294,3 @@ def load_seeds(path: str, graph: WebGraph) -> list[str]:
             raise UnknownDoc(f"{path}:{lineno}: seed {doc_id!r} not in graph")
         seeds[doc_id] = None
     return list(seeds)
-
-
-def oracle_text(corpus: dict[str, DocumentRecord], doc_id: str) -> str:
-    """Text lookup for a page; the stored corpus stands in for page fetches."""
-    try:
-        return corpus[doc_id].text
-    except KeyError:
-        raise UnknownDoc(f"unknown doc_id: {doc_id!r}") from None
-
-
-def outlinks(graph: WebGraph, doc_id: str) -> list[str]:
-    """Ordered successors of a page in the graph."""
-    if doc_id not in graph.adjacency:
-        raise UnknownDoc(f"unknown doc_id: {doc_id!r}")
-    return list(graph.adjacency[doc_id])

@@ -27,6 +27,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RETRIEVAL = "src/qcrawl/retrieval.py"
+ANALYTICS = "src/qcrawl/analytics.py"
+# The lines between hexbin's cell code and its decoding.
+_HEXBIN_CODE_TAIL = """
+                for j in (fy, fy + 1):
+                    d2 = dx2 + (py - (j + off)) ** 2
+                    win = d2 < best
+                    np.copyto(best, d2, where=win)
+                    np.copyto(code, row + j + 1, where=win)
+    # np.unique, unlike np.bincount, takes memory in proportion to the points.
+    occupied, counts = np.unique(codes, return_counts=True)
+    kept = counts >= min_count
+    cell, j = np.divmod(occupied[kept], nj)
+    """
 
 MUTANTS = [
     # the ASCII fast path of tokenize: its byte table and when it is taken
@@ -92,6 +105,17 @@ MUTANTS = [
         '"qoracle": lambda seq, priority: (-priority, seq),',
         '"qoracle": lambda seq, priority: -priority,',
     ),
+    # hexbin's tie rule (first minimum in (flag, i, j) order wins), its cell
+    # codes in (flag, i, j) order, and its min_count cut
+    (ANALYTICS, "win = d2 < best", "win = d2 <= best"),
+    (ANALYTICS, "for flag, off in ((0, 0.0), (1, 0.5)):", "for flag, off in ((1, 0.5), (0, 0.0)):"),
+    (ANALYTICS, "for i in (fx, fx + 1):", "for i in (fx + 1, fx):"),
+    (  # flag and i swapped in the cell code and its decoding: (i, flag, j) order
+        ANALYTICS,
+        "row = (flag * ni + i + 1) * nj" + _HEXBIN_CODE_TAIL + "flag, i = np.divmod(cell, ni)",
+        "row = ((i + 1) * 2 + flag) * nj" + _HEXBIN_CODE_TAIL + "i, flag = np.divmod(cell, 2)",
+    ),
+    (ANALYTICS, "kept = counts >= min_count", "kept = counts > min_count"),
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
     (

@@ -119,7 +119,7 @@ def student_t_two_sided_p(t_stat, df, n_steps=200_000):
     return min(1.0, 2.0 * tail)
 
 
-def hexbin_full_scan(points, gridsize):
+def hexbin_full_scan(points, gridsize, min_count=1):
     """Assign every point to its nearest center by scanning ALL candidate
     centers of both lattices over the padded bounding box.
 
@@ -161,6 +161,8 @@ def hexbin_full_scan(points, gridsize):
 
     cells = []
     for (flag, i, j), count in sorted(counts.items()):
+        if count < min_count:
+            continue
         off = 0.5 * flag
         cells.append((xmin + (i + off) / sx, ymin + (j + off) / sy, count))
     return cells

@@ -297,8 +297,21 @@ def test_hexbin_matches_bruteforce_oracle():
     pts = [(float(x), float(y)) for x, y in rng.uniform(-3.0, 3.0, size=(10_000, 2))]
     grid = hexbin(pts, gridsize=25, min_count=1)
     assert grid.cells == hexbin_full_scan(pts, 25)
-    assert grid.kept_count == 10_000
+    assert sum(count for _, _, count in grid.cells) == 10_000
     _ok("hexbin: 10,000 random points, gridsize 25, exact oracle match")
+
+
+def test_hexbin_matches_bruteforce_oracle_on_lattice_ties():
+    # Integer points over a 40 x 40 box: at these gridsizes many scaled points
+    # sit exactly between centers, so every tie rule of hexbin is exercised.
+    rng = np.random.default_rng(2026)
+    pts = [(float(x), float(y)) for x, y in rng.integers(0, 41, size=(20_000, 2))]
+    for gridsize in (1, 2, 7, 25, 49):
+        occupied = hexbin_full_scan(pts, gridsize)
+        for min_count in (0, 1, 100):
+            grid = hexbin(pts, gridsize, min_count)
+            assert grid.cells == [cell for cell in occupied if cell[2] >= min_count]
+    _ok("hexbin: 20,000 integer-lattice points (forced ties), 5 gridsizes, exact oracle match")
 
 
 def test_t_test_p_values_match_integration_oracle():

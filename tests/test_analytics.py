@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from qcrawl import (
@@ -157,6 +159,23 @@ class TestPearson:
             y = rng.normal(size=40) + 0.4 * x
             assert pearson(x, y) == pytest.approx(float(np.corrcoef(x, y)[0, 1]), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "xs, ys", [([1, 2, math.nan], [1, 2, 3]), ([1, 2, 3], [1, 2, math.inf])]
+    )
+    def test_non_finite_value_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson(xs, ys)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sums_rejected(self):
+        with pytest.raises(ValueError, match="float64 range"):
+            pearson([1e200, -1e200, 0.0], [1.0, 2.0, 4.0])
+
+    def test_underflowing_sums_rejected(self):
+        # each series varies, but sxx * syy is below the smallest float64
+        with pytest.raises(ValueError, match="float64 range"):
+            pearson([0.0, 1e-85, 2e-85], [0.0, 1e-85, 3e-85])
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -179,6 +198,18 @@ class TestOLS:
         slope, intercept = ols_regression([0, 1, 2], [0, 1, 3])
         assert slope == pytest.approx(1.5, abs=1e-12)
         assert intercept == pytest.approx(-1 / 6, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "xs, ys", [([1, 2, -math.inf], [1, 2, 3]), ([1, 2, 3], [math.nan, 2, 3])]
+    )
+    def test_non_finite_value_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="non-finite"):
+            ols_regression(xs, ys)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sums_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            ols_regression([1e200, -1e200, 0.0], [1.0, 2.0, 4.0])
 
     def test_constant_xs_error(self):
         with pytest.raises(ValueError):
@@ -213,7 +244,7 @@ class TestHexbin:
 
     def test_two_point_grid(self):
         grid = hexbin([(0.0, 0.0), (1.0, 1.0)], gridsize=4, min_count=1)
-        assert grid.kept_count == 2
+        assert sum(count for _, _, count in grid.cells) == 2
         assert grid.n_points == 2
 
     def test_min_count_filters_all(self):
@@ -226,7 +257,7 @@ class TestHexbin:
         rng = np.random.default_rng(10)
         pts = [(float(x), float(y)) for x, y in rng.uniform(size=(500, 2))]
         grid = hexbin(pts, gridsize=7, min_count=1)
-        assert grid.kept_count == 500
+        assert sum(count for _, _, count in grid.cells) == 500
 
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(12)
@@ -237,6 +268,54 @@ class TestHexbin:
     def test_degenerate_bbox(self):
         with pytest.raises(ValueError):
             hexbin([(0.0, 1.0), (0.0, 2.0)], gridsize=3, min_count=1)
+
+    def test_four_way_tie_falls_to_integer_lattice(self):
+        # (1, 0) scales to (0.5, 0): 0.25 from (0, 0) and (1, 0) of lattice 0
+        # and from (0.5, -0.5) and (0.5, 0.5) of lattice 0.5; (0, 0) wins.
+        grid = hexbin([(0.0, 0.0), (1.0, 0.0), (2.0, 1.0)], gridsize=1, min_count=2)
+        assert grid.cells == [(0.0, 0.0, 2)]
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.0, 0.0), (1.0, math.nan)],
+            [(0.0, 0.0), (math.inf, 1.0)],
+            [(-math.inf, 0.0), (1.0, 1.0)],
+            [(0.0, 0.0), (1.0, 1.0), (math.nan, math.nan)],
+        ],
+    )
+    def test_non_finite_point_rejected(self, pts):
+        with pytest.raises(ValueError, match="non-finite"):
+            hexbin(pts, gridsize=5, min_count=1)
+
+    @pytest.mark.parametrize(
+        "pts", [[(-1e308, 0.0), (1e308, 1.0)], [(0.0, 0.0), (5e-324, 1.0)]]
+    )
+    def test_unscalable_bbox_rejected(self, pts):
+        with pytest.raises(ValueError, match="scale"):
+            hexbin(pts, gridsize=5, min_count=1)
+
+    def test_gridsize_too_large_to_number_cells_rejected(self):
+        with pytest.raises(ValueError, match="gridsize too large"):
+            hexbin([(0.0, 0.0), (1.0, 1.0)], gridsize=2**40, min_count=1)
+
+
+@st.composite
+def _lattice_points(draw):
+    """Integer points whose bounding box has nonzero width and height; small
+    integer boxes put many scaled points exactly between two centers."""
+    x0, y0 = draw(st.integers(-10, 10)), draw(st.integers(-10, 10))
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    inner = st.tuples(st.integers(x0, x0 + w), st.integers(y0, y0 + h))
+    pts = [(x0, y0), (x0 + w, y0 + h)] + draw(st.lists(inner, max_size=60))
+    return [(float(x), float(y)) for x, y in draw(st.permutations(pts))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_lattice_points(), st.integers(1, 50), st.sampled_from([0, 1, 3]))
+def test_hexbin_matches_full_scan_on_lattice_ties(pts, gridsize, min_count):
+    grid = hexbin(pts, gridsize, min_count)
+    assert grid.cells == hexbin_full_scan(pts, gridsize, min_count)
 
 
 class TestCorrelationStudy:
@@ -301,6 +380,14 @@ class TestCorrelationStudy:
         _, graph, _ = build_corpus(rows)
         with pytest.raises(ValueError):
             correlation_study(graph, {"a": -1.0, "b": -2.0})
+
+    def test_overflowing_outlink_mean_rejected(self):
+        # finite scores, but c's outlink mean (1.5e308 + 1.6e308) / 2 is inf
+        links = {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
+        rows = [{"doc_id": d, "url": None, "text": "x", "outlinks": o} for d, o in links.items()]
+        _, graph, _ = build_corpus(rows)
+        with pytest.raises(ValueError, match="non-finite"):
+            correlation_study(graph, {"a": 1.5e308, "b": 1.6e308, "c": -1.0})
 
 
 class TestSplitByRelevance:

@@ -397,6 +397,19 @@ class TestStats:
         assert capsys.readouterr().err == "error: no quality score for 'a'\n"
         assert not out.exists()
 
+    def test_overflowing_outlink_mean_fails(self, tmp_path, jsonl_writer, capsys):
+        # Every score is finite, but c's outlink mean (1.5e308 + 1.6e308) / 2 is inf.
+        links = {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
+        rows = [{"doc_id": d, "url": None, "text": "x", "outlinks": o} for d, o in links.items()]
+        records = jsonl_writer(rows, tmp_path / "corpus.jsonl")
+        table = tmp_path / "scores.tsv"
+        table.write_text("a\t1.5e308\nb\t1.6e308\nc\t-1.0\n")
+        out = tmp_path / "stats"
+        rc = main(["stats", "--scores", str(table), "--input", str(records), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: series hold a non-finite value\n"
+        assert not out.exists()
+
 
 _NOT_A_FLAG_VALUE = " must be a string, number, boolean or list"
 _NOT_A_SWITCH = " is not an on/off flag: it cannot be true or false"

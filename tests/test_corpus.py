@@ -23,8 +23,6 @@ from qcrawl import (
     load_queries,
     load_score_table,
     load_seeds,
-    oracle_text,
-    outlinks,
     read_trace,
 )
 from qcrawl import corpus as corpus_module
@@ -175,28 +173,6 @@ def test_edge_list_malformed_line(tmp_path):
     path.write_text("a\tb\nc only\n")
     with pytest.raises(CorpusFormatError, match=":2:"):
         load_edges(str(path))
-
-
-def test_oracle_text_lookup(five_node_corpus):
-    corpus, _, _ = five_node_corpus
-    assert oracle_text(corpus, "a") == "alpha beta gamma"
-    with pytest.raises(UnknownDoc):
-        oracle_text(corpus, "zz")
-
-
-def test_oracle_text_empty_document():
-    rows = [{"doc_id": "a", "url": None, "text": "", "outlinks": []}]
-    corpus, _, _ = build_corpus(rows)
-    assert oracle_text(corpus, "a") == ""
-
-
-def test_outlinks_contract(five_node_corpus):
-    _, graph, _ = five_node_corpus
-    assert outlinks(graph, "d") == []
-    assert outlinks(graph, "a") == ["b", "c"]
-    assert outlinks(graph, "a") == outlinks(graph, "a")
-    with pytest.raises(UnknownDoc):
-        outlinks(graph, "zz")
 
 
 def test_load_seeds(tmp_path, five_node_corpus):
