@@ -123,6 +123,8 @@ def _finite_series(xs, ys):
     return x, y
 
 
+# Sums that leave float64 raise a ValueError below, with no numpy warning first.
+@np.errstate(over="ignore", invalid="ignore")
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation coefficient."""
     x, y = _finite_series(xs, ys)
@@ -139,6 +141,7 @@ def pearson(xs, ys) -> float:
     return min(1.0, max(-1.0, r))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ols_regression(xs, ys) -> tuple[float, float]:
     """Least-squares line: slope = cov/var(x), intercept = mean residual."""
     x, y = _finite_series(xs, ys)

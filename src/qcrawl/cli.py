@@ -31,10 +31,6 @@ def _parse_format(value: str) -> tuple[str, str]:
     return pair
 
 
-def _load_corpus_args(args):
-    return corpus.load_corpus(args.input, args.format, edges_path=args.edges)
-
-
 def _write_rows_jsonl(rows, path):
     with corpus.atomic_write(path) as fh:
         for row in rows:
@@ -82,7 +78,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_crawl(args) -> int:
-    _, graph, stats = _load_corpus_args(args)
+    graph, stats = corpus.load_graph(args.input, args.format, args.edges)
     seeds = corpus.load_seeds(args.seeds, graph)
     scores = quality.load_score_table(args.scores) if args.scores else None
     trace = crawler.run_crawl(
@@ -112,7 +108,7 @@ def cmd_crawl(args) -> int:
 def cmd_index(args) -> int:
     if args.rank is not None and not args.trace:
         raise QCrawlError("--rank requires --trace")
-    docs, _, _ = _load_corpus_args(args)
+    docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
     if args.trace:
         trace = crawler.read_trace(args.trace, docs)
         rank = len(trace) if args.rank is None else args.rank
@@ -136,7 +132,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    docs, _, _ = _load_corpus_args(args)
+    docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
     traces = {}
     for entry in args.trace:
         name, _, path = entry.partition("=")
@@ -262,7 +258,7 @@ def cmd_stats(args) -> int:
         skipped["relevance_split"] = "no qrels given"
 
     if args.input:
-        _, graph, _ = _load_corpus_args(args)
+        graph, _ = corpus.load_graph(args.input, args.format, args.edges)
         report, points = analytics.correlation_study(graph, first_table)
         outputs["correlation.json"] = _json_text(
             {

@@ -4,9 +4,12 @@ A corpus is a mapping doc_id -> DocumentRecord built from a JSON-lines or
 CSV record file. The web graph is an adjacency over doc_ids built from the
 records' outlinks (or from a separate tab-separated edge list). Outlinks
 whose target is not in the corpus are dropped from the graph but counted,
-so the crawl frontier stays closed over scoreable pages. A load pauses the
-cyclic garbage collector, which would only rescan its new objects: rows,
-records and adjacency lists hold what they point down to, never a cycle.
+so the crawl frontier stays closed over scoreable pages. A load streams:
+each row is checked, used and dropped as it is read. load_graph keeps only
+ids and links, for the commands that never read text, and runs every check
+load_corpus runs. A load pauses the cyclic garbage collector, which would
+only rescan its new objects: rows, records and adjacency lists hold what
+they point down to, never a cycle.
 
 Every line-oriented qcrawl file is read through read_lines, which skips blank
 lines; every output is written through atomic_write, which replaces it whole.
@@ -150,15 +153,21 @@ def _check_doc_id(doc_id, lineno: int, path: str, seen: set[str]) -> None:
     seen.add(doc_id)
 
 
-def parse_jsonl(path: str) -> list[dict]:
-    """Parse a JSON-lines record file into raw row dicts (extra keys kept)."""
-    rows = []
+def parse_jsonl(path: str):
+    """Yield the raw row dicts of a JSON-lines record file (extra keys kept),
+    each checked as its line is read."""
+    raw_decode = json.JSONDecoder().raw_decode  # json.loads without its wrapper
     seen: set[str] = set()
     for lineno, line in read_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        try:  # a line not decoded whole (padding, a BOM, extra data) goes to json.loads
+            obj, end = raw_decode(line)
+        except json.JSONDecodeError:
+            end = 0
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
             raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
         _check_doc_id(obj.get("doc_id"), lineno, path, seen)
@@ -171,18 +180,16 @@ def parse_jsonl(path: str) -> list[dict]:
         outlinks = obj.get("outlinks", [])
         if not isinstance(outlinks, list) or not _are_tokens(outlinks):
             raise CorpusFormatError(f"{path}:{lineno}: 'outlinks' must be a list of doc_ids")
-        rows.append(obj)
-    return rows
+        yield obj
 
 
-def parse_csv(path: str) -> list[dict]:
-    """Parse a CSV record file (header doc_id,url,text,outlinks) into raw rows.
+def parse_csv(path: str):
+    """Yield the raw rows of a CSV record file (header doc_id,url,text,outlinks).
 
     The outlinks column holds a space-separated doc_id list in one field, and
     a cell may be as long as a JSON line. Errors name the last line of a
     record that quoted newlines spread out.
     """
-    rows = []
     seen: set[str] = set()
     old_limit = csv.field_size_limit(2**31 - 1)
     try:
@@ -203,86 +210,100 @@ def parse_csv(path: str) -> list[dict]:
                     )
                 doc_id, url, text, outlinks = row
                 _check_doc_id(doc_id, lineno, path, seen)
-                rows.append(
-                    {"doc_id": doc_id, "url": url or None, "text": text,
-                     "outlinks": outlinks.split()}
-                )
+                yield {"doc_id": doc_id, "url": url or None, "text": text,
+                       "outlinks": outlinks.split()}
     except csv.Error as exc:
         raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
     finally:
         csv.field_size_limit(old_limit)
-    return rows
+
+
+def _streams(path: str, fmt: str, edges_path: str | None = None):
+    """A record file's checked rows and an edge file's edges (or None), read as consumed."""
+    edges = _edges(edges_path) if edges_path else None
+    if fmt == "jsonl":
+        return parse_jsonl(path), edges
+    if fmt == "csv":
+        return parse_csv(path), edges
+    raise ValueError(f"unsupported record format: {fmt!r}")
 
 
 @_gc_paused()
 def parse_records(path: str, fmt: str) -> list[dict]:
-    if fmt == "jsonl":
-        return parse_jsonl(path)
-    if fmt == "csv":
-        return parse_csv(path)
-    raise ValueError(f"unsupported record format: {fmt!r}")
+    return list(_streams(path, fmt)[0])
+
+
+def _edges(path: str):
+    for lineno, line in read_lines(path):
+        yield tuple(split_fields(path, lineno, line, 2, "src<TAB>dst"))
 
 
 def load_edges(path: str) -> list[tuple[str, str]]:
     """Load a tab-separated edge list (``src<TAB>dst``, one edge per line)."""
-    return [tuple(split_fields(path, n, line, 2, "src<TAB>dst")) for n, line in read_lines(path)]
+    return list(_edges(path))
 
 
 @_gc_paused()
-def build_corpus(
-    rows: list[dict], edges: list[tuple[str, str]] | None = None
-) -> tuple[dict[str, DocumentRecord], WebGraph, LoadStats]:
-    """Assemble corpus and graph from raw rows (and an optional edge list).
+def build_graph(rows, edges=None) -> tuple[WebGraph, LoadStats]:
+    """Build the graph from raw rows, each dropped once read, and an optional
+    edge list, read after the last row.
 
     Duplicate outlinks within one source keep the first occurrence; outlinks
     pointing outside the corpus are dropped from the graph. Both drops are
     counted so that edges_loaded = kept + dangling + duplicates. A repeated
-    doc_id is rejected, since rows built in memory skip the parsers' check.
+    doc_id is rejected as its row arrives (rows built in memory skip the parsers' check).
     """
-    rows_by_id = {row["doc_id"]: row for row in rows}
-    if len(rows_by_id) != len(rows):
-        seen: set[str] = set()
-        for row in rows:
-            if row["doc_id"] in seen:
-                raise CorpusFormatError(f"duplicate doc_id: {row['doc_id']!r}")
-            seen.add(row["doc_id"])
+    adjacency: dict[str, list[str]] = {}
+    records = edges_loaded = duplicates = 0
+    for records, row in enumerate(rows, start=1):
+        doc_id = row["doc_id"]
+        if doc_id in adjacency:
+            raise CorpusFormatError(f"duplicate doc_id: {doc_id!r}")
+        raw = row.get("outlinks", ()) if edges is None else ()
+        raw = raw if isinstance(raw, (list, tuple)) else list(raw)  # an iterator reads once
+        adjacency[doc_id] = links = list(dict.fromkeys(raw))  # first occurrence kept, in order
+        edges_loaded += len(raw)
+        duplicates += len(raw) - len(links)
 
     # An edge list replaces the records' outlinks; an unknown source dangles.
     if edges is not None:
-        linked: dict[str, list[str]] = {doc_id: [] for doc_id in rows_by_id}
-        edges_loaded = 0
         for edges_loaded, (src, dst) in enumerate(edges, start=1):
-            if src in linked:
-                linked[src].append(dst)
+            if src in adjacency:
+                adjacency[src].append(dst)
 
-    corpus: dict[str, DocumentRecord] = {}
-    graph = WebGraph()
-    in_corpus = rows_by_id.__contains__
-    raw_total = deduped_total = 0
-    for doc_id, row in rows_by_id.items():
-        raw = linked[doc_id] if edges is not None else row.get("outlinks", ())
-        raw = raw if isinstance(raw, (list, tuple)) else list(raw)  # an iterator reads once
-        deduped = dict.fromkeys(raw)  # first occurrence kept, in order
-        graph.adjacency[doc_id] = list(filter(in_corpus, deduped))
-        raw_total += len(raw)
-        deduped_total += len(deduped)
-        corpus[doc_id] = DocumentRecord(doc_id, row.get("url"), row["text"])
-
-    edges_loaded = raw_total if edges is None else edges_loaded
-    duplicates = raw_total - deduped_total
+    in_corpus = adjacency.__contains__
+    for doc_id, links in adjacency.items():
+        deduped = links if edges is None else dict.fromkeys(links)
+        duplicates += len(links) - len(deduped)
+        adjacency[doc_id] = list(filter(in_corpus, deduped))
+    graph = WebGraph(adjacency)
     kept = graph.edge_count
-    stats = LoadStats(len(rows), edges_loaded, kept, edges_loaded - kept - duplicates, duplicates)
+    stats = LoadStats(records, edges_loaded, kept, edges_loaded - kept - duplicates, duplicates)
+    return graph, stats
+
+
+def build_corpus(rows, edges=None) -> tuple[dict[str, DocumentRecord], WebGraph, LoadStats]:
+    """build_graph's graph and stats, and a DocumentRecord per raw row."""
+    corpus: dict[str, DocumentRecord] = {}
+
+    def keep(row: dict) -> dict:
+        corpus[row["doc_id"]] = DocumentRecord(row["doc_id"], row.get("url"), row["text"])
+        return row
+
+    graph, stats = build_graph(map(keep, rows), edges)
     return corpus, graph, stats
 
 
-@_gc_paused()
 def load_corpus(
     path: str, fmt: str = "jsonl", edges_path: str | None = None
 ) -> tuple[dict[str, DocumentRecord], WebGraph, LoadStats]:
-    """Load a record file (jsonl or csv) into (corpus, graph, stats)."""
-    rows = parse_records(path, fmt)
-    edges = load_edges(edges_path) if edges_path else None
-    return build_corpus(rows, edges)
+    """Load a record file (jsonl or csv) into (corpus, graph, stats) in one pass."""
+    return build_corpus(*_streams(path, fmt, edges_path))
+
+
+def load_graph(path: str, fmt: str = "jsonl", edges_path: str | None = None):
+    """load_corpus's graph and stats: every record check runs, no text is kept."""
+    return build_graph(*_streams(path, fmt, edges_path))
 
 
 def load_seeds(path: str, graph: WebGraph) -> list[str]:

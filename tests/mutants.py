@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RETRIEVAL = "src/qcrawl/retrieval.py"
 ANALYTICS = "src/qcrawl/analytics.py"
+CORPUS = "src/qcrawl/corpus.py"
 # The lines between hexbin's cell code and its decoding.
 _HEXBIN_CODE_TAIL = """
                 for j in (fy, fy + 1):
@@ -116,6 +117,13 @@ MUTANTS = [
         "row = ((i + 1) * 2 + flag) * nj" + _HEXBIN_CODE_TAIL + "i, flag = np.divmod(cell, 2)",
     ),
     (ANALYTICS, "kept = counts >= min_count", "kept = counts > min_count"),
+    # the streamed corpus load: a JSON line raw_decode does not consume whole
+    # goes through json.loads; the edge file is read after the records;
+    # dangling targets and repeated doc_ids
+    (CORPUS, "if end != len(line):", "if not end:"),
+    (CORPUS, "edges = _edges(edges_path) if", "edges = load_edges(edges_path) if"),
+    (CORPUS, "list(filter(in_corpus, deduped))", "list(deduped)"),
+    (CORPUS, "if doc_id in adjacency:", "if False:"),
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
     (

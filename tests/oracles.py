@@ -4,11 +4,13 @@ Almost everything here deliberately avoids the library's own code paths:
 textbook queue/stack crawls, an O(n^2) frontier scan, Simpson integration of
 the Student-t density, a full-scan hexagonal assigner, a from-scratch BM25
 recomputation, the tokenisation rule as one regex, a from-scratch index
-builder, a per-query BM25 ranking, and a per-target corpus builder.
+builder, a per-query BM25 ranking, a per-target corpus builder, and a
+JSON-lines record reader with one json.loads per line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -345,3 +347,41 @@ def reference_build_corpus(rows, edges=None):
         records[doc_id] = (doc_id, row.get("url"), row["text"])
         adjacency[doc_id] = kept
     return records, adjacency, stats
+
+
+def reference_parse_jsonl(path):
+    """A JSON-lines record file read whole and decoded one json.loads per
+    line: the rows, or the CorpusFormatError naming the first bad line."""
+    from qcrawl.corpus import CorpusFormatError
+
+    def is_doc_id(value):
+        return isinstance(value, str) and value != "" and not any(c.isspace() for c in value)
+
+    rows, seen = [], set()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}:"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{where} invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"{where} expected a JSON object")
+        doc_id = obj.get("doc_id")
+        if not is_doc_id(doc_id):
+            raise CorpusFormatError(f"{where} doc_id must be a non-empty token without whitespace")
+        if doc_id in seen:
+            raise CorpusFormatError(f"{where} duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        if not isinstance(obj.get("text"), str):
+            raise CorpusFormatError(f"{where} missing or non-string 'text'")
+        if obj.get("url") is not None and not isinstance(obj["url"], str):
+            raise CorpusFormatError(f"{where} 'url' must be a string or null")
+        outlinks = obj.get("outlinks", [])
+        if not (isinstance(outlinks, list) and all(map(is_doc_id, outlinks))):
+            raise CorpusFormatError(f"{where} 'outlinks' must be a list of doc_ids")
+        rows.append(obj)
+    return rows

@@ -166,7 +166,7 @@ class TestPearson:
         with pytest.raises(ValueError, match="non-finite"):
             pearson(xs, ys)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_rejected(self):
         with pytest.raises(ValueError, match="float64 range"):
             pearson([1e200, -1e200, 0.0], [1.0, 2.0, 4.0])
@@ -206,7 +206,7 @@ class TestOLS:
         with pytest.raises(ValueError, match="non-finite"):
             ols_regression(xs, ys)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_sums_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             ols_regression([1e200, -1e200, 0.0], [1.0, 2.0, 4.0])

@@ -410,6 +410,21 @@ class TestStats:
         assert capsys.readouterr().err == "error: series hold a non-finite value\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_correlation_sums_fail_with_one_line(self, tmp_path, jsonl_writer, capsys):
+        # Every score and outlink mean is finite, but the squared deviations
+        # sum past float64's range; numpy warns of nothing, even as errors.
+        links = {"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]}
+        rows = [{"doc_id": d, "url": None, "text": "x", "outlinks": o} for d, o in links.items()]
+        records = jsonl_writer(rows, tmp_path / "corpus.jsonl")
+        table = tmp_path / "scores.tsv"
+        table.write_text("a\t1e200\nb\t-1e200\nc\t0.0\n")
+        out = tmp_path / "stats"
+        rc = main(["stats", "--scores", str(table), "--input", str(records), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: correlation sums out of float64 range\n"
+        assert not out.exists()
+
 
 _NOT_A_FLAG_VALUE = " must be a string, number, boolean or list"
 _NOT_A_SWITCH = " is not an on/off flag: it cannot be true or false"

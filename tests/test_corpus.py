@@ -3,7 +3,9 @@ import functools
 import gc
 import io
 import json
+import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +28,9 @@ from qcrawl import (
     read_trace,
 )
 from qcrawl import corpus as corpus_module
-from qcrawl.corpus import atomic_write, parse_records
+from qcrawl.corpus import atomic_write, load_graph, parse_records
 
-from oracles import reference_build_corpus
+from oracles import reference_build_corpus, reference_parse_jsonl
 
 
 def test_dangling_target_dropped_and_counted():
@@ -289,6 +291,157 @@ def test_build_corpus_matches_reference(inputs):
     assert stats.edges_loaded == stats.edges_kept + stats.dangling_dropped + stats.duplicate_dropped
 
 
+def _outcome(read, *args):
+    """repr of what read returns (NaN compares by its spelling), or the
+    message of the CorpusFormatError it raises."""
+    try:
+        return repr(read(*args))
+    except CorpusFormatError as exc:
+        return f"CorpusFormatError: {exc}"
+
+
+def _mostly(good, bad, odds=8):
+    """good, drawn odds times as often as bad."""
+    return st.sampled_from([good] * odds + [bad]).flatmap(lambda strategy: strategy)
+
+
+_JSON_RECORDS = st.fixed_dictionaries(
+    {
+        "doc_id": _mostly(st.sampled_from("abcdefghijkl"), st.sampled_from(["a b", "", 3])),
+        "text": _mostly(
+            st.sampled_from(["x", "y z", "", "\u00e9 \t"]), st.sampled_from([math.nan, None])
+        ),
+    },
+    optional={
+        "url": _mostly(st.sampled_from([None, "http://a"]), st.just(1)),
+        "outlinks": _mostly(
+            st.lists(st.sampled_from(["a", "b", "zz"]), max_size=4),
+            st.sampled_from([["c d"], [7], "a"]),
+        ),
+        "w": st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+    },
+).map(json.dumps)  # NaN and Infinity literals included
+_JSON_PADDING = st.sampled_from([" ", "\t", " \t ", ""])
+_OTHER_PADDING = st.sampled_from(["\x0c", "\u00a0", "\u3000", "\r", "\ufeff"])
+_JSONL_LINES = st.sampled_from(
+    [_JSON_RECORDS] * 6
+    + [st.tuples(_JSON_PADDING, _JSON_RECORDS, _JSON_PADDING).map("".join)] * 3
+    + [
+        st.tuples(_OTHER_PADDING | _JSON_PADDING, _JSON_RECORDS, _OTHER_PADDING).map("".join),
+        _JSON_RECORDS.map("\ufeff".__add__),
+        st.tuples(_JSON_RECORDS, st.sampled_from(["", " ", ","]), _JSON_RECORDS).map("".join),
+        st.tuples(_JSON_RECORDS, st.sampled_from(["x", "]", "}", "NaN", "//"])).map("".join),
+        st.sampled_from(["", "  ", "NaN", "-Infinity", "[1]", '"s"', "null", "{", "{}"]),
+    ]
+).flatmap(lambda strategy: strategy)
+
+
+@settings(
+    max_examples=500, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(_JSONL_LINES, max_size=5))
+def test_jsonl_reader_matches_one_json_loads_per_line(tmp_path, lines):
+    path = tmp_path / "records.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    fast = _outcome(parse_records, str(path), "jsonl")
+    assert fast == _outcome(reference_parse_jsonl, str(path))
+
+
+@st.composite
+def _record_files(draw):
+    """A record file (JSON lines or CSV) with repeated, dangling and
+    duplicate links, sometimes a repeated doc_id or a bad outlink, and an
+    optional edge file that may hold a malformed line."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    doc_ids = draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+    doc_ids += draw(_mostly(st.just([]), st.sampled_from([["a"], ["e"]])))
+    targets = _mostly(st.lists(_TARGETS, max_size=6), st.just(["b", "a b"]))
+    records = [
+        (doc_id, draw(st.sampled_from([None, f"http://{doc_id}"])), draw(targets))
+        for doc_id in doc_ids
+    ]
+    edge_lines = _mostly(
+        st.tuples(_TARGETS, _TARGETS).map("\t".join), st.sampled_from(["a", "a\t"]), odds=15
+    )
+    edges = draw(st.none() | st.lists(edge_lines, max_size=8))
+    return fmt, records, edges
+
+
+def _write_record_files(directory, fmt, records, edges):
+    path = directory / f"records.{fmt}"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "jsonl":
+            for doc_id, url, links in records:
+                row = {"doc_id": doc_id, "url": url, "text": f"page {doc_id}", "outlinks": links}
+                fh.write(json.dumps(row) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["doc_id", "url", "text", "outlinks"])
+            writer.writerows([d, u or "", f"page {d}", " ".join(ls)] for d, u, ls in records)
+    if edges is None:
+        return str(path), None
+    (directory / "edges.tsv").write_text("".join(line + "\n" for line in edges))
+    return str(path), str(directory / "edges.tsv")
+
+
+def _reference_load(path, fmt, edges_path, text):
+    """Rows read whole, then the edge file, then the per-target builder."""
+    rows = reference_parse_jsonl(path) if fmt == "jsonl" else parse_records(path, fmt)
+    records, adjacency, stats = reference_build_corpus(
+        rows, load_edges(edges_path) if edges_path else None
+    )
+    return list(records.values()) if text else None, list(adjacency.items()), stats
+
+
+def _streamed_load(path, fmt, edges_path, text):
+    """load_corpus's records, graph and stats, or load_graph's graph and stats."""
+    if text:
+        corpus, graph, stats = load_corpus(path, fmt, edges_path)
+        records = [(r.doc_id, r.url, r.text) for r in corpus.values()]
+    else:
+        (graph, stats), records = load_graph(path, fmt, edges_path), None
+    return records, list(graph.adjacency.items()), stats
+
+
+@settings(
+    max_examples=400, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(files=_record_files())
+def test_graph_load_matches_reference(tmp_path, files):
+    path, edges_path = _write_record_files(tmp_path, *files)
+    for text in (False, True):
+        args = (path, files[0], edges_path, text)
+        assert _outcome(_streamed_load, *args) == _outcome(_reference_load, *args)
+
+
+def test_graph_only_load_keeps_no_text(tmp_path):
+    """400 pages of 20 kB text: a graph-only load never holds a tenth of
+    it at once, while a load that keeps the records holds all of it."""
+    pages, size = 400, 20_000
+    path = tmp_path / "records.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(pages):
+            row = {"doc_id": f"d{i}", "text": "w" * size, "outlinks": [f"d{(i + 1) % pages}"]}
+            fh.write(json.dumps(row) + "\n")
+
+    def traced_peak(load):
+        tracemalloc.start()
+        try:
+            loaded = load(str(path))
+            return tracemalloc.get_traced_memory()[1], loaded
+        finally:
+            tracemalloc.stop()
+
+    graph_peak, (graph, _) = traced_peak(load_graph)
+    corpus_peak, (corpus, _, _) = traced_peak(load_corpus)
+    assert len(graph.adjacency) == len(corpus) == pages
+    assert graph_peak < pages * size / 10
+    assert corpus_peak > pages * size
+
+
 @pytest.fixture
 def gc_state():
     """Set the collector on or off for a test, and restore it afterwards."""
@@ -302,7 +455,7 @@ def gc_state():
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc_on", "gc_off"])
 @pytest.mark.parametrize("clean", [True, False], ids=["clean", "error"])
-@pytest.mark.parametrize("load", ["parse_records", "build_corpus", "load_corpus"])
+@pytest.mark.parametrize("load", ["parse_records", "build_corpus", "load_corpus", "load_graph"])
 def test_load_leaves_gc_as_found(tmp_path, gc_state, load, clean, caller_gc):
     ids = "abc" if clean else "aba"
     rows = [{"doc_id": d, "text": "x", "outlinks": ["a", "zz"]} for d in ids]
@@ -312,6 +465,7 @@ def test_load_leaves_gc_as_found(tmp_path, gc_state, load, clean, caller_gc):
         "parse_records": lambda: parse_records(str(path), "jsonl"),
         "build_corpus": lambda: build_corpus(rows),
         "load_corpus": lambda: load_corpus(str(path), "jsonl"),
+        "load_graph": lambda: load_graph(str(path), "jsonl"),
     }[load]
     gc_state(caller_gc)
     if clean:
@@ -322,30 +476,50 @@ def test_load_leaves_gc_as_found(tmp_path, gc_state, load, clean, caller_gc):
     assert gc.isenabled() is caller_gc
 
 
-def test_collector_paused_while_rows_and_records_are_built(monkeypatch, gc_state):
+_TWO_RECORDS = {
+    "jsonl": '{"doc_id": "a", "text": "x", "outlinks": ["b"]}\n{"doc_id": "b", "text": "y"}\n',
+    "csv": "doc_id,url,text,outlinks\na,,x,b\nb,,y,\n",
+}
+
+
+def test_collector_paused_while_rows_and_records_are_built(tmp_path, monkeypatch, gc_state):
+    """For each record format, the collector is off from the first row parsed
+    until the graph and the records are built, and on again afterwards; a
+    load reads one row, records it, and only then reads the next."""
     states = []
 
-    def links():
-        states.append(("build", gc.isenabled()))
-        yield "a"
+    def noting(step, fn):
+        def noted(*args, **kwargs):
+            states.append((step, gc.isenabled()))
+            return fn(*args, **kwargs)
 
-    def parse(path):
-        states.append(("parse", gc.isenabled()))
-        return [{"doc_id": "a", "text": "x", "outlinks": links()}]
+        return noted
 
-    def no_edges(path):
-        states.append(("edges", gc.isenabled()))
-
-    monkeypatch.setattr(corpus_module, "parse_jsonl", parse)
-    monkeypatch.setattr(corpus_module, "load_edges", no_edges)
+    steps = {"_check_doc_id": "parse", "DocumentRecord": "record", "split_fields": "edges",
+             "WebGraph": "graph"}
+    for name, step in steps.items():
+        monkeypatch.setattr(corpus_module, name, noting(step, getattr(corpus_module, name)))
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("b\ta\n")
     gc_state(True)
-    _, graph, _ = load_corpus("records.jsonl", edges_path="edges.tsv")
-    assert graph.adjacency == {"a": ["a"]}
-    rows = parse_records("records.jsonl", "jsonl")
-    assert gc.isenabled()
-    build_corpus(rows)
-    assert gc.isenabled()
-    assert states == [(step, False) for step in ("parse", "edges", "build", "parse", "build")]
+    for fmt, text in _TWO_RECORDS.items():
+        records = tmp_path / f"records.{fmt}"
+        records.write_text(text)
+        states.clear()
+        corpus, graph, _ = load_corpus(str(records), fmt, edges_path=str(edges))
+        assert gc.isenabled()
+        graph_only, _ = load_graph(str(records), fmt, edges_path=str(edges))
+        assert gc.isenabled()
+        rows = parse_records(str(records), fmt)
+        assert gc.isenabled()
+        assert [step for step, _ in states] == [
+            *("parse", "record", "parse", "record", "edges", "graph"),  # load_corpus
+            *("parse", "parse", "edges", "graph"),  # load_graph
+            *("parse", "parse"),  # parse_records
+        ]
+        assert not any(enabled for _, enabled in states)
+        assert graph.adjacency == graph_only.adjacency == {"a": [], "b": ["a"]}
+        assert list(corpus) == [row["doc_id"] for row in rows] == ["a", "b"]
 
 
 def test_a_load_leaves_no_cyclic_garbage(tmp_path, gc_state):
