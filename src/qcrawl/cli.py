@@ -131,7 +131,8 @@ def cmd_index(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _eval_recall(args) -> list:
+    """Load eval's inputs and run the recall step: the pages and traces die with this call."""
     docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
     traces = {}
     for entry in args.trace:
@@ -145,15 +146,17 @@ def cmd_eval(args) -> int:
         raise QCrawlError("--alpha must be in (0, 1]")
     queries = retrieval.load_queries(args.queries)
     qrels = retrieval.load_qrels(args.qrels)
-    report = retrieval.evaluate_checkpoints(
-        docs, traces, queries, qrels, k=args.k, alpha=args.alpha
-    )
+    return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)
+
+
+def cmd_eval(args) -> int:
+    report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)
     with corpus.atomic_write(args.output) as fh:
         fh.write(report.to_jsonl())
     print(
         json.dumps(
             {
-                "strategies": sorted(traces),
+                "strategies": sorted({r.strategy for r in report.recall_rows}),
                 "checkpoints": sorted({r.checkpoint for r in report.recall_rows}),
                 "queries_evaluated": len(report.query_ids),
                 "output": args.output,

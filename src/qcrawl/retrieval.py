@@ -14,8 +14,8 @@ per evaluation. N, df, dl and avgdl all come from integer counts, so every
 score equals the one an index built from scratch over the prefix would give.
 Ranking runs on numpy arrays: the postings are weighed once per index state,
 and a search sums each doc's weights in query-term order. Evaluation runs in
-two phases: the recall phase returns only recall rows, so its index and
-tokenise cache are freed before the t-tests import scipy.
+two steps that share only the recall rows, so the index, the tokenise cache
+and, in ``qcrawl eval``, the pages and traces are freed before scipy loads.
 """
 
 from __future__ import annotations
@@ -196,11 +196,13 @@ def relevant_docs(qrels: dict[str, dict[str, int]], query_id: str) -> set[str]:
 
 def recall_at_k(ranked, qrels: dict[str, dict[str, int]], query_id: str, k: int) -> float:
     """Fraction of ALL judged-relevant docs of the query found in the top k."""
-    relevant = relevant_docs(qrels, query_id)
+    return _recall(ranked, relevant_docs(qrels, query_id), query_id, k)
+
+
+def _recall(ranked, relevant: set[str], query_id: str, k: int) -> float:
     if not relevant:
         raise SkippedQuery(f"query {query_id!r} has no judged-relevant documents")
-    top = {doc_id for doc_id, _ in ranked[:k]}
-    return len(top & relevant) / len(relevant)
+    return len(relevant.intersection(doc_id for doc_id, _ in ranked[:k])) / len(relevant)
 
 
 def t_p_value(t_stat: float, df: int) -> float:
@@ -325,9 +327,25 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _recall_phase(corpus, traces, checkpoints, eval_qids, queries, qrels, k) -> list[RecallRow]:
-    """One recall row per (strategy, checkpoint). The index and the tokenise
-    cache live only in this call, so they are freed when it returns."""
+def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[RecallRow]:
+    """The recall step of ``evaluate_checkpoints``: check the inputs, then one
+    row per (strategy, checkpoint). The index and tokenise cache die with it."""
+    if not traces:
+        raise ValueError("need at least one trace")
+    for strategy in sorted(traces):
+        doc_ids = traces[strategy].doc_ids()
+        if len(set(doc_ids)) != len(doc_ids):
+            repeated = next(d for d, n in Counter(doc_ids).items() if n > 1)
+            raise ValueError(f"trace {strategy!r} lists doc_id {repeated!r} twice")
+    checkpoints = sorted(set.intersection(*(set(t.checkpoint_ranks) for t in traces.values())))
+    if not checkpoints:
+        raise ValueError("traces have no common checkpoints")
+    relevant = {qid: relevant_docs(qrels, qid) for qid in queries}
+    eval_qids = sorted(qid for qid in queries if relevant[qid])
+    if not eval_qids:
+        raise ValueError("no query has judged-relevant documents")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
     vocabulary = {term for terms in query_terms.values() for term in terms}
     # shared across traces: each page is tokenised once
@@ -342,12 +360,28 @@ def _recall_phase(corpus, traces, checkpoints, eval_qids, queries, qrels, k) -> 
             segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
             index = build_index(corpus, segment, index, query_term_counts)
             per_query = {
-                qid: recall_at_k(search_topk(index, query_terms[qid], k), qrels, qid, k)
+                qid: _recall(search_topk(index, query_terms[qid], k), relevant[qid], qid, k)
                 for qid in eval_qids
             }
             mean = sum(per_query.values()) / len(eval_qids)
             recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))
     return recall_rows
+
+
+def evaluate_significance(recall_rows, k: int = 100, alpha: float = 0.01) -> EvalReport:
+    """The significance step of ``evaluate_checkpoints``: paired t-tests
+    across strategies at each checkpoint, from ``evaluate_recall``'s rows alone."""
+    # each per_query dict is in eval_qids order, so the score lists align
+    query_ids = list(recall_rows[0].per_query)
+    scores: dict[int, dict[str, list[float]]] = {}
+    for row in recall_rows:
+        scores.setdefault(row.checkpoint, {})[row.strategy] = list(row.per_query.values())
+    significance_rows: list[SignificanceRow] = []
+    for checkpoint, per_strategy in scores.items():
+        if len(per_strategy) >= 2 and len(query_ids) >= 2:
+            for pair, res in sorted(paired_t_test_bonferroni(per_strategy, alpha).items()):
+                significance_rows.append(SignificanceRow(checkpoint, pair, **vars(res)))
+    return EvalReport(k, alpha, query_ids, recall_rows, significance_rows)
 
 
 def evaluate_checkpoints(
@@ -358,35 +392,8 @@ def evaluate_checkpoints(
     k: int = 100,
     alpha: float = 0.01,
 ) -> EvalReport:
-    """Index every common checkpoint prefix, run all evaluable queries,
-    and test pairwise significance across strategies per checkpoint.
-
-    The report is the one that rebuilding a full index over every prefix
-    would give, and fails with the same errors at the same (strategy,
-    checkpoint). A trace that lists a doc_id twice is rejected.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    for strategy in sorted(traces):
-        doc_ids = traces[strategy].doc_ids()
-        if len(set(doc_ids)) != len(doc_ids):
-            repeated = next(d for d, n in Counter(doc_ids).items() if n > 1)
-            raise ValueError(f"trace {strategy!r} lists doc_id {repeated!r} twice")
-    common = set.intersection(*(set(t.checkpoint_ranks) for t in traces.values()))
-    if not common:
-        raise ValueError("traces have no common checkpoints")
-    checkpoints = sorted(common)
-    eval_qids = sorted(q for q in queries if relevant_docs(qrels, q))
-    if not eval_qids:
-        raise ValueError("no query has judged-relevant documents")
-    recall_rows = _recall_phase(corpus, traces, checkpoints, eval_qids, queries, qrels, k)
-
-    significance_rows: list[SignificanceRow] = []
-    if len(traces) >= 2 and len(eval_qids) >= 2:
-        for checkpoint in checkpoints:
-            # each per_query dict is in eval_qids order, so the score lists align
-            rows = [row for row in recall_rows if row.checkpoint == checkpoint]
-            scores = {row.strategy: list(row.per_query.values()) for row in rows}
-            for pair, res in sorted(paired_t_test_bonferroni(scores, alpha).items()):
-                significance_rows.append(SignificanceRow(checkpoint, pair, **vars(res)))
-    return EvalReport(k, alpha, eval_qids, recall_rows, significance_rows)
+    """Index every common checkpoint prefix, run all evaluable queries, and
+    test pairwise significance across strategies per checkpoint. The report
+    and errors are those of a full index rebuilt over every prefix; a trace
+    listing a doc_id twice, or k < 1, fails before any page is tokenised."""
+    return evaluate_significance(evaluate_recall(corpus, traces, queries, qrels, k), k, alpha)

@@ -4,10 +4,11 @@
 
 Each mutant is one ``(file, old, new)`` edit, with ``file`` relative to the
 repository root. For each, ``src/`` and ``tests/`` are copied to a temporary
-directory, the edit is applied there, and the suite runs in that copy with
-``pytest -x -q -p no:cacheprovider``. A mutant is killed when the suite fails.
-The unmutated copy runs first and must pass, or every mutant would look
-killed. An ``old`` that does not occur exactly once in its file stops the
+directory, the edit is applied there, and the test files that ``TESTS_OF``
+lists for ``file`` run in that copy with ``pytest -x -q -p no:cacheprovider``.
+A mutant is killed when they fail. The whole unmutated suite runs first and
+must pass, or every mutant would look killed. An ``old`` that does not occur
+exactly once in its file, or a file with no test files listed, stops the
 script before any run, so a stale entry cannot pass unnoticed.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or the
@@ -29,6 +30,19 @@ ROOT = Path(__file__).resolve().parent.parent
 RETRIEVAL = "src/qcrawl/retrieval.py"
 ANALYTICS = "src/qcrawl/analytics.py"
 CORPUS = "src/qcrawl/corpus.py"
+CRAWLER = "src/qcrawl/crawler.py"
+QUALITY = "src/qcrawl/quality.py"
+CLI = "src/qcrawl/cli.py"
+# The test files that exercise each source file, its own first: a mutant runs
+# against these only, in this order, and stops at the first failure.
+TESTS_OF = {
+    RETRIEVAL: ("test_retrieval.py", "test_acceptance.py", "test_cli.py"),
+    ANALYTICS: ("test_analytics.py", "test_acceptance.py", "test_cli.py"),
+    CORPUS: ("test_corpus.py", "test_cli.py", "test_acceptance.py"),
+    CRAWLER: ("test_crawler.py", "test_acceptance.py", "test_cli.py"),
+    QUALITY: ("test_quality.py", "test_acceptance.py", "test_cli.py"),
+    CLI: ("test_cli.py", "test_acceptance.py"),
+}
 # The lines between hexbin's cell code and its decoding.
 _HEXBIN_CODE_TAIL = """
                 for j in (fy, fy + 1):
@@ -100,9 +114,27 @@ MUTANTS = [
         "sorted(head.items(), key=itemgetter(1), reverse=True)",
     ),
     (RETRIEVAL, "docs[1:] != docs[:-1]", "docs[1:] >= docs[:-1]"),
+    # eval's two steps: the loading helper returns only recall rows, so the
+    # pages and traces are freed before the t-tests; k is checked before any
+    # page is tokenised
+    (
+        CLI,
+        "    return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)\n\n\n"
+        "def cmd_eval(args) -> int:\n"
+        "    report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)",
+        "    return retrieval.evaluate_checkpoints(\n"
+        "        docs, traces, queries, qrels, args.k, args.alpha\n    )\n\n\n"
+        "def cmd_eval(args) -> int:\n"
+        "    report = _eval_recall(args)",
+    ),
+    (
+        RETRIEVAL,
+        'raise ValueError("no query has judged-relevant documents")\n    if k < 1:',
+        'raise ValueError("no query has judged-relevant documents")\n    if False:',
+    ),
     # the qoracle frontier key without its discovery order
     (
-        "src/qcrawl/crawler.py",
+        CRAWLER,
         '"qoracle": lambda seq, priority: (-priority, seq),',
         '"qoracle": lambda seq, priority: -priority,',
     ),
@@ -127,47 +159,64 @@ MUTANTS = [
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
     (
-        "src/qcrawl/crawler.py",
+        CRAWLER,
         "if priority is not None and not math.isfinite(priority):",
         "if priority is not None and math.isnan(priority):",
     ),
     (
-        "src/qcrawl/cli.py",
+        CLI,
         "isinstance(item, (str, int, float))",
         "isinstance(item, (str, int, float, type(None)))",
     ),
     (
-        "src/qcrawl/cli.py",
+        CLI,
         "elif any(isinstance(item, bool) for item in items):",
         "elif any(isinstance(item, bool) for item in items[1:]):",
+    ),
+    # score tables: finite scores, unique ids; the outlink mean over distinct targets
+    (QUALITY, "if not math.isfinite(score):", "if False:"),
+    (QUALITY, "if doc_id in table:", "if False:"),
+    (
+        QUALITY,
+        "targets = sorted(set(graph.adjacency[doc_id]))",
+        "targets = sorted(graph.adjacency[doc_id])",
     ),
 ]
 
 
 def check_entries() -> list[str]:
-    """Every problem with the list: an ``old`` found other than once."""
+    """Every problem with the lists: an ``old`` found other than once, a
+    mutated file with no test files, or a listed test file that is missing."""
     problems = []
     for file, old, _ in MUTANTS:
         count = (ROOT / file).read_text(encoding="utf-8").count(old)
         if count != 1:
             problems.append(f"{file}: {old!r} occurs {count} times, not once")
+        if file not in TESTS_OF:
+            problems.append(f"{file}: no test files listed in TESTS_OF")
+    for file, tests in TESTS_OF.items():
+        missing = [t for t in tests if not (ROOT / "tests" / t).is_file()]
+        problems += [f"{file}: tests/{t} does not exist" for t in missing]
     return problems
 
 
 def suite_passes(edit: tuple[str, str, str] | None) -> bool:
-    """Run the suite in a fresh copy of src/ and tests/ with ``edit`` applied."""
+    """Run the suite in a fresh copy of src/ and tests/; with ``edit``, apply
+    it and run only the edited file's test files."""
     with tempfile.TemporaryDirectory(prefix="qcrawl-mutant-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for tree in ("src", "tests"):
             shutil.copytree(ROOT / tree, work / tree, ignore=ignore)
+        targets = ["tests"]
         if edit is not None:
             file, old, new = edit
             path = work / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            targets = [f"tests/{name}" for name in TESTS_OF[file]]
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
             cwd=work,
             env=env,
             stdout=subprocess.DEVNULL,

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcrawl import CrawlTrace, DocumentRecord, retrieval
 from qcrawl.cli import main
 
 
@@ -328,6 +330,65 @@ class TestEval:
              "--output", str(corpus_files["dir"] / "r.jsonl")]
         )
         assert rc == 1
+
+    def _eval(self, corpus_files, traces, *extra):
+        """Run eval over the fixture's corpus, queries and qrels with ``traces``
+        (name -> path) and the ``extra`` flags; returns the exit code."""
+        argv = ["eval", "--input", corpus_files["corpus"], "--queries", corpus_files["queries"],
+                "--qrels", corpus_files["qrels"],
+                "--output", str(corpus_files["dir"] / "r.jsonl")]
+        argv += [arg for name, path in traces.items() for arg in ("--trace", f"{name}={path}")]
+        return main(argv + list(extra))
+
+    def test_pages_and_traces_are_freed_before_the_t_tests(self, corpus_files, monkeypatch):
+        # eval loads its inputs inside the recall step's caller, so scipy loads into freed memory
+        traces = {s: corpus_files["dir"] / f"{s}.tsv" for s in ("bfs", "dfs")}
+        for strategy, path in traces.items():
+            self._crawl(corpus_files, strategy, path)
+        t_test, live_at_call = retrieval.paired_t_test_bonferroni, []
+
+        def live():
+            return sum(isinstance(o, (DocumentRecord, CrawlTrace)) for o in gc.get_objects())
+
+        def checked(*args, **kwargs):
+            live_at_call.append(live())
+            return t_test(*args, **kwargs)
+
+        gc.collect()
+        alive = live()  # held by earlier tests, if any
+        monkeypatch.setattr(retrieval, "paired_t_test_bonferroni", checked)
+        assert self._eval(corpus_files, traces) == 0
+        assert live_at_call and live_at_call[0] <= alive
+
+    def test_trace_error_comes_before_a_bad_alpha(self, corpus_files, capsys):
+        trace = corpus_files["dir"] / "bad.tsv"
+        trace.write_text("#checkpoints\t2\n1\ta\t-\n2\tzz\t-\n")
+        assert self._eval(corpus_files, {"bfs": trace}, "--alpha", "2") == 1
+        assert capsys.readouterr().err == f"error: {trace}:3: doc_id 'zz' not in corpus\n"
+        self._crawl(corpus_files, "bfs", trace)
+        capsys.readouterr()
+        assert self._eval(corpus_files, {"bfs": trace}, "--alpha", "2") == 1
+        assert capsys.readouterr().err == "error: --alpha must be in (0, 1]\n"
+
+    def test_bad_alpha_comes_before_a_bad_queries_file(self, corpus_files, capsys):
+        trace = corpus_files["dir"] / "bfs.tsv"
+        self._crawl(corpus_files, "bfs", trace)
+        Path(corpus_files["queries"]).write_text("q1 without a tab\n")
+        assert self._eval(corpus_files, {"bfs": trace}, "--alpha", "0") == 1
+        assert capsys.readouterr().err == "error: --alpha must be in (0, 1]\n"
+        assert self._eval(corpus_files, {"bfs": trace}) == 1
+        queries = corpus_files["queries"]
+        assert capsys.readouterr().err == f"error: {queries}:1: expected 'query_id<TAB>text'\n"
+
+    def test_no_common_checkpoints_comes_before_no_judged_query(self, corpus_files, capsys):
+        traces = {"a": corpus_files["dir"] / "a.tsv", "b": corpus_files["dir"] / "b.tsv"}
+        traces["a"].write_text("#checkpoints\t1\n1\ta\t-\n2\tb\t-\n")
+        traces["b"].write_text("#checkpoints\t2\n1\ta\t-\n2\tb\t-\n")
+        Path(corpus_files["qrels"]).write_text("q1 0 a 0\n")
+        assert self._eval(corpus_files, traces) == 1
+        assert capsys.readouterr().err == "error: traces have no common checkpoints\n"
+        assert self._eval(corpus_files, {"a": traces["b"], "b": traces["b"]}) == 1
+        assert capsys.readouterr().err == "error: no query has judged-relevant documents\n"
 
 
 class TestStats:

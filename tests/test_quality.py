@@ -11,6 +11,7 @@ from qcrawl import (
     EmptyText,
     MissingScore,
     NoOutlinks,
+    WebGraph,
     build_corpus,
     load_score_table,
     mean_outlink_quality,
@@ -122,6 +123,11 @@ class TestMeanOutlinkQuality:
         _, graph, _ = build_corpus(rows)
         scores = {"b": -1.0, "c": -2.0, "d": -3.0}
         assert mean_outlink_quality(graph, scores, "a") == -2.0
+
+    def test_repeated_outlink_counts_once(self):
+        # a graph built by hand may repeat a target: the mean is over distinct targets
+        graph = WebGraph(adjacency={"a": ["b", "c", "b"], "b": [], "c": []})
+        assert mean_outlink_quality(graph, {"b": -1.0, "c": -4.0}, "a") == -2.5
 
     def test_leaf_raises(self):
         rows = [{"doc_id": "a", "url": None, "text": "x", "outlinks": []}]

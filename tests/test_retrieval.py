@@ -573,6 +573,13 @@ class TestGrowthStep:
         assert (index.doc_count, index.avgdl) == (2, 5.0)
 
 
+def _two_steps(corpus, traces, queries, qrels, k=100, alpha=0.01):
+    """evaluate_checkpoints as qcrawl eval runs it: the recall step's rows
+    are all that reaches the significance step."""
+    recall_rows = retrieval.evaluate_recall(corpus, traces, queries, qrels, k)
+    return retrieval.evaluate_significance(recall_rows, k, alpha)
+
+
 def _outcome(evaluate, *args, **kwargs):
     """Report bytes on success, (exception type, message) on a failure."""
     try:
@@ -626,6 +633,7 @@ class TestIncrementalMatchesRebuild:
         for k in (1, 5, 100):
             expected = _outcome(reference_evaluate_checkpoints, *args, k=k)
             assert _outcome(evaluate_checkpoints, *args, k=k) == expected
+            assert _outcome(_two_steps, *args, k=k) == expected
 
         # Recall hides score changes that keep the top k; compare the grown indexes
         for trace in traces.values():
@@ -666,6 +674,23 @@ class TestIncrementalMatchesRebuild:
             expected, got = self._hand_case(texts, ["d1", "d2", "d3"], checkpoints)
             assert expected[0] is ValueError and "out of range" in expected[1]
             assert got == expected
+
+    def test_k_below_one_is_rejected_before_any_page_is_tokenised(self, monkeypatch):
+        corpus = _corpus({"d1": "a b", "d2": "c", "d3": "a c"})
+        # the first segment holds an unknown page: building its index would fail first
+        trace = CrawlTrace(entries=[(1, "zz", None), (2, "d1", None)], checkpoint_ranks=[1, 2])
+        queries, qrels = {"q1": "a b"}, {"q1": {"d1": 1}}
+        tokenised = []
+        monkeypatch.setattr(retrieval, "tokenize", lambda text: tokenised.append(text) or [])
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            evaluate_checkpoints(corpus, {"bfs": trace}, queries, qrels, k=0)
+        assert tokenised == []
+        # the checks on the traces and qrels still come first
+        with pytest.raises(ValueError, match="no query has judged-relevant documents"):
+            evaluate_checkpoints(corpus, {"bfs": trace}, queries, {}, k=0)
+        monkeypatch.undo()
+        with pytest.raises(UnknownDoc):
+            evaluate_checkpoints(corpus, {"bfs": trace}, queries, qrels, k=1)
 
     def test_zero_token_pages_and_unmatched_pages(self):
         texts = {"d1": "", "d2": "x y z", "d3": "a c", "d4": "!!", "d1x": "b b a"}
