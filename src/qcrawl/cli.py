@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import corpus, crawler, quality, retrieval
@@ -31,49 +32,44 @@ def _parse_format(value: str) -> tuple[str, str]:
     return pair
 
 
-def _write_rows_jsonl(rows, path):
-    with corpus.atomic_write(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+def _jsonl_row_writer(fh):
+    return lambda row: fh.write(json.dumps(row) + "\n")
 
 
-def _write_rows_csv(rows, path):
-    fields = list(corpus.RECORD_FIELDS) + ["quality_score"]
-    with corpus.atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # csv quotes a cell holding "\n" but not a lone "\r", which a reader
-        # takes for a line end, so a row holding one is quoted whole
-        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(fields)
-        for row in rows:
-            cells = [
-                row["doc_id"],
-                row.get("url") or "",
-                row["text"],
-                " ".join(row.get("outlinks", [])),
-                repr(row["quality_score"]),
-            ]
-            (quote_all if "\r" in "".join(cells) else writer).writerow(cells)
+def _csv_row_writer(fh):
+    writer = csv.writer(fh, lineterminator="\n")
+    # csv quotes a cell holding "\n" but not a lone "\r", which a reader
+    # takes for a line end, so a row holding one is quoted whole
+    quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow([*corpus.RECORD_FIELDS, "quality_score"])
+
+    def write(row):
+        cells = [row["doc_id"], row.get("url") or "", row["text"],
+                 " ".join(row.get("outlinks", [])), repr(row["quality_score"])]
+        (quote_all if "\r" in "".join(cells) else writer).writerow(cells)
+
+    return write
+
+
+# Per output format: given the open output file, a function that writes one scored row.
+_ROW_WRITERS = {"jsonl": _jsonl_row_writer, "csv": _csv_row_writer}
 
 
 def cmd_score(args) -> int:
+    """Score and write one row at a time: the table is read first, then
+    the first faulty row in file order fails the run."""
     in_fmt, out_fmt = _parse_format(args.format)
-    rows = corpus.parse_records(args.input, in_fmt)
     table = quality.load_score_table(args.scores) if args.scores else None
-    scored = []
-    for row in rows:
-        if "quality_score" in row:
-            raise QCrawlError(
-                f"record {row['doc_id']!r} already has a quality_score field"
-            )
-        out_row = dict(row)
-        out_row["quality_score"] = quality.score_record(table, row["doc_id"], row["text"])
-        scored.append(out_row)
-    if out_fmt == "jsonl":
-        _write_rows_jsonl(scored, args.output)
-    else:
-        _write_rows_csv(scored, args.output)
-    print(json.dumps({"records_scored": len(scored), "output": args.output}, sort_keys=True))
+    rows, _ = corpus._streams(args.input, in_fmt)
+    count = 0
+    with closing(rows), corpus.atomic_write(args.output) as fh:
+        write = _ROW_WRITERS[out_fmt](fh)
+        for count, row in enumerate(rows, start=1):
+            if "quality_score" in row:
+                raise QCrawlError(f"record {row['doc_id']!r} already has a quality_score field")
+            row["quality_score"] = quality.score_record(table, row["doc_id"], row["text"])
+            write(row)
+    print(json.dumps({"records_scored": count, "output": args.output}, sort_keys=True))
     return 0
 
 

@@ -4,12 +4,13 @@ A corpus is a mapping doc_id -> DocumentRecord built from a JSON-lines or
 CSV record file. The web graph is an adjacency over doc_ids built from the
 records' outlinks (or from a separate tab-separated edge list). Outlinks
 whose target is not in the corpus are dropped from the graph but counted,
-so the crawl frontier stays closed over scoreable pages. A load streams:
-each row is checked, used and dropped as it is read. load_graph keeps only
-ids and links, for the commands that never read text, and runs every check
-load_corpus runs. A load pauses the cyclic garbage collector, which would
-only rescan its new objects: rows, records and adjacency lists hold what
-they point down to, never a cycle.
+so the crawl frontier stays closed over scoreable pages. Records stream:
+each row is checked, used and dropped as it is read, by a load and by
+``qcrawl score``, which scores and writes each checked row in turn.
+load_graph keeps only ids and links, for the commands that never read text,
+and runs every check load_corpus runs. A load pauses the cyclic garbage
+collector, which would only rescan its new objects: rows, records and
+adjacency lists hold what they point down to, never a cycle.
 
 Every line-oriented qcrawl file is read through read_lines, which skips blank
 lines; every output is written through atomic_write, which replaces it whole.

@@ -18,6 +18,15 @@ def five_node_rows():
 
 
 @pytest.fixture
+def two_records():
+    """The same two records, a -> b, as the text of a file in each record format."""
+    return {
+        "jsonl": '{"doc_id": "a", "text": "x", "outlinks": ["b"]}\n{"doc_id": "b", "text": "y"}\n',
+        "csv": "doc_id,url,text,outlinks\na,,x,b\nb,,y,\n",
+    }
+
+
+@pytest.fixture
 def five_node_corpus(five_node_rows):
     return build_corpus(five_node_rows)
 

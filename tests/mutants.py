@@ -156,6 +156,26 @@ MUTANTS = [
     (CORPUS, "edges = _edges(edges_path) if", "edges = load_edges(edges_path) if"),
     (CORPUS, "list(filter(in_corpus, deduped))", "list(deduped)"),
     (CORPUS, "if doc_id in adjacency:", "if False:"),
+    # score's single pass: the table read before the first row, each row
+    # scored as it is parsed; a row with a lone "\r" is quoted whole in CSV
+    (
+        CLI,
+        "    table = quality.load_score_table(args.scores) if args.scores else None\n"
+        "    rows, _ = corpus._streams(args.input, in_fmt)\n"
+        "    count = 0\n"
+        "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
+        "        write = _ROW_WRITERS[out_fmt](fh)\n"
+        "        for count, row in enumerate(rows, start=1):\n",
+        "    rows, _ = corpus._streams(args.input, in_fmt)\n"
+        "    count = 0\n"
+        "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
+        "        write = _ROW_WRITERS[out_fmt](fh)\n"
+        "        for count, row in enumerate(rows, start=1):\n"
+        "            if count == 1:\n"
+        "                table = quality.load_score_table(args.scores) if args.scores else None\n",
+    ),
+    (CLI, "enumerate(rows, start=1)", "enumerate(list(rows), start=1)"),
+    (CLI, r'"\r" in "".join(cells)', r'"\n" in "".join(cells)'),
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
     (

@@ -1,13 +1,15 @@
 import csv
 import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcrawl import CrawlTrace, DocumentRecord, retrieval
+from qcrawl import CrawlTrace, DocumentRecord, quality, retrieval
+from qcrawl import corpus as corpus_module
 from qcrawl.cli import main
 
 
@@ -112,6 +114,99 @@ class TestScore:
         main(["score", "--input", corpus_files["corpus"], "--output", str(out1)])
         main(["score", "--input", corpus_files["corpus"], "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_malformed_table_is_reported_before_a_bad_record_line(self, corpus_files, capsys):
+        records = corpus_files["dir"] / "records.jsonl"
+        records.write_text('{"doc_id": "a", "text": \n')
+        table = corpus_files["dir"] / "bad.tsv"
+        table.write_text("a\t-1.0\nb -0.5\n")
+        out = corpus_files["dir"] / "scored.jsonl"
+        argv = ["score", "--input", str(records), "--output", str(out), "--scores", str(table)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {table}:2: expected 'doc_id<TAB>score'\n"
+        table.write_text("a\t-1.0\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:1: invalid JSON")
+        assert not out.exists()
+
+    def test_missing_table_entry_is_reported_before_a_later_bad_line(self, corpus_files, capsys):
+        records = corpus_files["dir"] / "records.jsonl"
+        records.write_text(
+            '{"doc_id": "zz", "text": "x"}\n{"doc_id": "a", "text": "y"}\n{"doc_id": "b",\n'
+        )
+        out = corpus_files["dir"] / "scored.jsonl"
+        argv = ["score", "--input", str(records), "--output", str(out),
+                "--scores", corpus_files["scores"]]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no table entry for 'zz'\n"
+        records.write_text(records.read_text().replace('"zz"', '"c"'))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:3: invalid JSON")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_row_is_parsed_then_scored_at_a_time(
+        self, tmp_path, monkeypatch, two_records, fmt
+    ):
+        records = tmp_path / f"records.{fmt}"
+        records.write_text(two_records[fmt])
+        steps = []
+
+        def noting(step, fn):
+            def noted(*args, **kwargs):
+                steps.append(step)
+                return fn(*args, **kwargs)
+
+            return noted
+
+        monkeypatch.setattr(corpus_module, "_check_doc_id",
+                            noting("parse", corpus_module._check_doc_id))
+        monkeypatch.setattr(quality, "score_record", noting("score", quality.score_record))
+        out = tmp_path / "scored.jsonl"
+        assert main(["score", "--input", str(records), "--output", str(out),
+                     "--format", f"{fmt}:jsonl"]) == 0
+        assert steps == ["parse", "score", "parse", "score"]
+        assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["a", "b"]
+
+    def test_failure_on_the_last_row_leaves_every_file_as_it_was(self, tmp_path, jsonl_writer):
+        rows = [{"doc_id": d, "text": t} for d, t in (("a", "some text"), ("b", "..."))]
+        records = jsonl_writer(rows, tmp_path / "records.jsonl")
+        out = tmp_path / "scored.jsonl"
+        argv = ["score", "--input", records, "--output", str(out)]
+        assert main(argv) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+        out.write_bytes(b"earlier output\r\n")
+        assert main(argv) == 1
+        assert out.read_bytes() == b"earlier output\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl", "scored.jsonl"]
+
+    def test_csv_failing_partway_restores_the_field_limit_and_closes_the_input(
+        self, corpus_files, two_records, capsys
+    ):
+        records = corpus_files["dir"] / "records.csv"
+        records.write_text(two_records["csv"].replace("\nb,", "\nzz,"))
+        out = corpus_files["dir"] / "scored.csv"
+        limit = csv.field_size_limit()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = main(["score", "--input", str(records), "--output", str(out),
+                       "--format", "csv", "--scores", corpus_files["scores"]])
+            gc.collect()
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no table entry for 'zz'\n"
+        assert csv.field_size_limit() == limit
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_scoring_a_file_over_itself(self, corpus_files, two_records, fmt):
+        records = corpus_files["dir"] / f"records.{fmt}"
+        records.write_text(two_records[fmt])
+        apart = corpus_files["dir"] / f"apart.{fmt}"
+        for out in (apart, records):
+            assert main(["score", "--input", str(records), "--output", str(out),
+                         "--format", fmt, "--scores", corpus_files["scores"]]) == 0
+        assert records.read_bytes() == apart.read_bytes()
 
 
 class TestCrawl:

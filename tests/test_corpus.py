@@ -476,13 +476,9 @@ def test_load_leaves_gc_as_found(tmp_path, gc_state, load, clean, caller_gc):
     assert gc.isenabled() is caller_gc
 
 
-_TWO_RECORDS = {
-    "jsonl": '{"doc_id": "a", "text": "x", "outlinks": ["b"]}\n{"doc_id": "b", "text": "y"}\n',
-    "csv": "doc_id,url,text,outlinks\na,,x,b\nb,,y,\n",
-}
-
-
-def test_collector_paused_while_rows_and_records_are_built(tmp_path, monkeypatch, gc_state):
+def test_collector_paused_while_rows_and_records_are_built(
+    tmp_path, monkeypatch, gc_state, two_records
+):
     """For each record format, the collector is off from the first row parsed
     until the graph and the records are built, and on again afterwards; a
     load reads one row, records it, and only then reads the next."""
@@ -502,7 +498,7 @@ def test_collector_paused_while_rows_and_records_are_built(tmp_path, monkeypatch
     edges = tmp_path / "edges.tsv"
     edges.write_text("b\ta\n")
     gc_state(True)
-    for fmt, text in _TWO_RECORDS.items():
+    for fmt, text in two_records.items():
         records = tmp_path / f"records.{fmt}"
         records.write_text(text)
         states.clear()
