@@ -16,6 +16,7 @@ import numpy as np
 from .corpus import WebGraph
 from .errors import MissingScore, UndefinedCorrelation, ZeroWidth
 from .quality import DEFAULT_BINS, DEFAULT_GRIDSIZE, DEFAULT_MIN_COUNT, mean_outlink_quality
+from .retrieval import relevant_docs
 
 # hexbin assigns points in blocks of this many, so that its per-candidate
 # arrays stay small beside the points themselves.
@@ -244,10 +245,8 @@ def correlation_study(graph: WebGraph, scores: dict[str, float]):
 
 def split_by_relevance(scores: dict[str, float], qrels: dict[str, dict[str, int]]):
     """Partition score-table values into (relevant, irrelevant) by whether
-    the doc was judged grade >= 1 for at least one query."""
-    relevant_ids = set()
-    for judgments in qrels.values():
-        relevant_ids.update(d for d, g in judgments.items() if g >= 1)
+    the doc is in retrieval.relevant_docs for at least one query."""
+    relevant_ids = set().union(*(relevant_docs(qrels, query_id) for query_id in qrels))
     relevant: list[float] = []
     irrelevant: list[float] = []
     for doc_id in sorted(scores):

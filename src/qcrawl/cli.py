@@ -1,8 +1,9 @@
 """Command-line interface: score, crawl, index, eval, stats.
 
 Every subcommand is deterministic: identical inputs (and --rng-seed where
-randomness is involved) produce byte-identical outputs. Diagnostics go to
-stderr; summaries and reports go to stdout or the requested output files.
+randomness is involved) produce byte-identical outputs. Each writes its
+reports to the requested files and returns a summary, which main prints to
+stdout as one sorted-key JSON line; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -19,43 +20,24 @@ from pathlib import Path
 from . import corpus, crawler, quality, retrieval
 from .errors import QCrawlError
 
-RECORD_FORMATS = ("jsonl", "csv")
-
 
 def _parse_format(value: str) -> tuple[str, str]:
     """'in:out' format pair; a single name applies to both sides."""
     in_fmt, colon, out_fmt = value.partition(":")
     pair = (in_fmt, out_fmt if colon else in_fmt)
     for fmt in pair:
-        if fmt not in RECORD_FORMATS:
-            raise ValueError(f"unsupported format {fmt!r}; expected one of {RECORD_FORMATS}")
+        if fmt not in corpus.RECORD_FORMATS:
+            names = tuple(corpus.RECORD_FORMATS)
+            raise ValueError(f"unsupported format {fmt!r}; expected one of {names}")
     return pair
 
 
-def _jsonl_row_writer(fh):
-    return lambda row: fh.write(json.dumps(row) + "\n")
+def _json_text(payload, indent: int | None = 2) -> str:
+    """Sorted-key JSON text ending in a newline; indent=None gives a summary line."""
+    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
 
 
-def _csv_row_writer(fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    # csv quotes a cell holding "\n" but not a lone "\r", which a reader
-    # takes for a line end, so a row holding one is quoted whole
-    quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow([*corpus.RECORD_FIELDS, "quality_score"])
-
-    def write(row):
-        cells = [row["doc_id"], row.get("url") or "", row["text"],
-                 " ".join(row.get("outlinks", [])), repr(row["quality_score"])]
-        (quote_all if "\r" in "".join(cells) else writer).writerow(cells)
-
-    return write
-
-
-# Per output format: given the open output file, a function that writes one scored row.
-_ROW_WRITERS = {"jsonl": _jsonl_row_writer, "csv": _csv_row_writer}
-
-
-def cmd_score(args) -> int:
+def cmd_score(args) -> dict:
     """Score and write one row at a time: the table is read first, then
     the first faulty row in file order fails the run."""
     in_fmt, out_fmt = _parse_format(args.format)
@@ -63,17 +45,16 @@ def cmd_score(args) -> int:
     rows, _ = corpus._streams(args.input, in_fmt)
     count = 0
     with closing(rows), corpus.atomic_write(args.output) as fh:
-        write = _ROW_WRITERS[out_fmt](fh)
+        write = corpus.RECORD_FORMATS[out_fmt][1](fh)
         for count, row in enumerate(rows, start=1):
             if "quality_score" in row:
                 raise QCrawlError(f"record {row['doc_id']!r} already has a quality_score field")
             row["quality_score"] = quality.score_record(table, row["doc_id"], row["text"])
             write(row)
-    print(json.dumps({"records_scored": count, "output": args.output}, sort_keys=True))
-    return 0
+    return {"records_scored": count, "output": args.output}
 
 
-def cmd_crawl(args) -> int:
+def cmd_crawl(args) -> dict:
     graph, stats = corpus.load_graph(args.input, args.format, args.edges)
     seeds = corpus.load_seeds(args.seeds, graph)
     scores = quality.load_score_table(args.scores) if args.scores else None
@@ -86,22 +67,16 @@ def cmd_crawl(args) -> int:
         scores=scores,
     )
     crawler.write_trace(trace, args.output)
-    print(
-        json.dumps(
-            {
-                "strategy": args.strategy,
-                "pages_crawled": len(trace),
-                "checkpoints": trace.checkpoint_ranks,
-                "dangling_edges": stats.dangling_dropped,
-                "output": args.output,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    return {
+        "strategy": args.strategy,
+        "pages_crawled": len(trace),
+        "checkpoints": trace.checkpoint_ranks,
+        "dangling_edges": stats.dangling_dropped,
+        "output": args.output,
+    }
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> dict:
     if args.rank is not None and not args.trace:
         raise QCrawlError("--rank requires --trace")
     docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
@@ -119,12 +94,10 @@ def cmd_index(args) -> int:
         "postings": sum(len(p) for p in index.postings.values()),
         "tokens_total": sum(index.doc_lengths.values()),
     }
-    payload = json.dumps(stats, sort_keys=True)
     if args.output:
         with corpus.atomic_write(args.output) as fh:
-            fh.write(payload + "\n")
-    print(payload)
-    return 0
+            fh.write(_json_text(stats, indent=None))
+    return stats
 
 
 def _eval_recall(args) -> list:
@@ -145,55 +118,60 @@ def _eval_recall(args) -> list:
     return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)
     with corpus.atomic_write(args.output) as fh:
         fh.write(report.to_jsonl())
-    print(
-        json.dumps(
-            {
-                "strategies": sorted({r.strategy for r in report.recall_rows}),
-                "checkpoints": sorted({r.checkpoint for r in report.recall_rows}),
-                "queries_evaluated": len(report.query_ids),
-                "output": args.output,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    return {
+        "strategies": sorted({r.strategy for r in report.recall_rows}),
+        "checkpoints": sorted({r.checkpoint for r in report.recall_rows}),
+        "queries_evaluated": len(report.query_ids),
+        "output": args.output,
+    }
 
 
-def _stats_histograms(tables: dict[str, dict[str, float]], bins: int):
+def _joint_histograms(value_lists: list[list[float]], bins: int):
+    """(lo, hi, a histogram per list over [lo, hi]), the lists' joint range; None if lo == hi."""
     from . import analytics
 
-    all_values = [v for table in tables.values() for v in table.values()]
+    all_values = [v for values in value_lists for v in values]
     lo, hi = min(all_values), max(all_values)
     if lo == hi:
-        raise QCrawlError("all scores identical across tables; histogram width is zero")
-    hists = {
-        label: analytics.histogram(list(table.values()), bins, (lo, hi))
-        for label, table in tables.items()
-    }
+        return lo, hi, None
+    return lo, hi, [analytics.histogram(values, bins, (lo, hi)) for values in value_lists]
+
+
+def _relevance_split(args, label: str, table: dict[str, float]) -> str:
+    """relevance_split.json's text: its value lists die before stats loads the graph."""
+    from . import analytics
+
+    qrels = retrieval.load_qrels(args.qrels)
+    relevant, irrelevant = analytics.split_by_relevance(table, qrels)
     payload = {
-        "bins": bins,
-        "range": [lo, hi],
-        "tables": {
-            label: {
-                "n": len(tables[label]),
-                "bin_edges": hist.bin_edges,
-                "counts": hist.counts,
-            }
-            for label, hist in hists.items()
-        },
+        "table": label,
+        "n_relevant": len(relevant),
+        "n_irrelevant": len(irrelevant),
+        "undersampled": bool(args.undersample),
+        "rng_seed": args.rng_seed,
     }
-    return hists, payload
+    if relevant and irrelevant:
+        if args.undersample:
+            relevant, irrelevant = analytics.undersample(relevant, irrelevant, args.rng_seed)
+        _, _, hists = _joint_histograms([relevant, irrelevant], args.bins)
+        if hists:
+            payload["histograms"] = {
+                "bin_edges": hists[0].bin_edges,
+                "relevant": hists[0].counts,
+                "irrelevant": hists[1].counts,
+            }
+        payload["quartiles"] = {
+            "relevant": analytics.quartiles(relevant),
+            "irrelevant": analytics.quartiles(irrelevant),
+        }
+    return _json_text(payload)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> dict:
     # analytics needs numpy; only stats imports it, so other subcommands start faster
     from . import analytics
 
@@ -209,8 +187,23 @@ def cmd_stats(args) -> int:
     outputs: dict[str, str] = {}
     skipped = {}
 
-    hists, hist_payload = _stats_histograms(tables, args.bins)
-    outputs["histograms.json"] = _json_text(hist_payload)
+    lo, hi, hist_list = _joint_histograms([list(t.values()) for t in tables.values()], args.bins)
+    if hist_list is None:
+        raise QCrawlError("all scores identical across tables; histogram width is zero")
+    hists = dict(zip(tables, hist_list))
+    payload = {
+        "bins": args.bins,
+        "range": [lo, hi],
+        "tables": {
+            label: {
+                "n": len(tables[label]),
+                "bin_edges": hist.bin_edges,
+                "counts": hist.counts,
+            }
+            for label, hist in hists.items()
+        },
+    }
+    outputs["histograms.json"] = _json_text(payload)
 
     if len(tables) >= 2:
         labels = sorted(tables)
@@ -225,34 +218,7 @@ def cmd_stats(args) -> int:
     first_table = tables[first_label]
 
     if args.qrels:
-        qrels = retrieval.load_qrels(args.qrels)
-        relevant, irrelevant = analytics.split_by_relevance(first_table, qrels)
-        payload = {
-            "table": first_label,
-            "n_relevant": len(relevant),
-            "n_irrelevant": len(irrelevant),
-            "undersampled": bool(args.undersample),
-            "rng_seed": args.rng_seed,
-        }
-        if relevant and irrelevant:
-            rel, irr = relevant, irrelevant
-            if args.undersample:
-                rel, irr = analytics.undersample(relevant, irrelevant, args.rng_seed)
-            lo = min(min(rel), min(irr))
-            hi = max(max(rel), max(irr))
-            if lo < hi:
-                h_rel = analytics.histogram(rel, args.bins, (lo, hi))
-                h_irr = analytics.histogram(irr, args.bins, (lo, hi))
-                payload["histograms"] = {
-                    "bin_edges": h_rel.bin_edges,
-                    "relevant": h_rel.counts,
-                    "irrelevant": h_irr.counts,
-                }
-            payload["quartiles"] = {
-                "relevant": analytics.quartiles(rel),
-                "irrelevant": analytics.quartiles(irr),
-            }
-        outputs["relevance_split.json"] = _json_text(payload)
+        outputs["relevance_split.json"] = _relevance_split(args, first_label, first_table)
     else:
         skipped["relevance_split"] = "no qrels given"
 
@@ -282,13 +248,7 @@ def cmd_stats(args) -> int:
     for name, text in outputs.items():
         with corpus.atomic_write(str(out_dir / name)) as fh:
             fh.write(text)
-    print(
-        json.dumps(
-            {"output_dir": str(out_dir), "written": list(outputs), "skipped": skipped},
-            sort_keys=True,
-        )
-    )
-    return 0
+    return {"output_dir": str(out_dir), "written": list(outputs), "skipped": skipped}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,16 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_corpus_flags(p):
-        p.add_argument("--input", required=True, help="record file (jsonl or csv)")
-        p.add_argument("--format", choices=RECORD_FORMATS, default="jsonl")
+    def add_corpus_flags(p, required=True):
+        p.add_argument("--input", required=required, help="record file (jsonl or csv)")
+        p.add_argument("--format", choices=corpus.RECORD_FORMATS, default="jsonl")
         p.add_argument("--edges", help="optional tab-separated edge list (src<TAB>dst)")
-
-    def add_config_flag(p):
-        p.add_argument(
-            "--config",
-            help="JSON file of flag defaults; explicit flags take precedence",
-        )
 
     p_score = add_command("score", help="add a quality_score column to a record file")
     p_score.add_argument("--input", required=True)
@@ -358,9 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--scores", action="append", required=True, help="score table (repeatable)"
     )
-    p_stats.add_argument("--input", help="optional corpus for the correlation study")
-    p_stats.add_argument("--format", choices=RECORD_FORMATS, default="jsonl")
-    p_stats.add_argument("--edges", help="optional tab-separated edge list")
+    add_corpus_flags(p_stats, required=False)  # a corpus adds the correlation study
     p_stats.add_argument("--qrels", help="optional qrels for the relevance split")
     p_stats.add_argument("--bins", type=int, default=quality.DEFAULT_BINS)
     p_stats.add_argument("--gridsize", type=int, default=quality.DEFAULT_GRIDSIZE)
@@ -371,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=cmd_stats)
 
     for p in (p_score, p_crawl, p_index, p_eval, p_stats):
-        add_config_flag(p)
+        p.add_argument(
+            "--config",
+            help="JSON file of flag defaults; explicit flags take precedence",
+        )
     return parser
 
 
@@ -431,7 +386,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(list(argv), parser))
-        return args.func(args)
+        print(_json_text(args.func(args), indent=None), end="")
+        return 0
     except (QCrawlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,10 @@ A corpus is a mapping doc_id -> DocumentRecord built from a JSON-lines or
 CSV record file. The web graph is an adjacency over doc_ids built from the
 records' outlinks (or from a separate tab-separated edge list). Outlinks
 whose target is not in the corpus are dropped from the graph but counted,
-so the crawl frontier stays closed over scoreable pages. Records stream:
+so the crawl frontier stays closed over scoreable pages. RECORD_FORMATS
+holds each record format's parser and scored-row writer. Records stream:
 each row is checked, used and dropped as it is read, by a load and by
-``qcrawl score``, which scores and writes each checked row in turn.
+``qcrawl score``, which writes each scored row with its format's writer.
 load_graph keeps only ids and links, for the commands that never read text,
 and runs every check load_corpus runs. A load pauses the cyclic garbage
 collector, which would only rescan its new objects: rows, records and
@@ -219,14 +220,38 @@ def parse_csv(path: str):
         csv.field_size_limit(old_limit)
 
 
+def _jsonl_row_writer(fh):
+    return lambda row: fh.write(json.dumps(row) + "\n")
+
+
+def _csv_row_writer(fh):
+    writer = csv.writer(fh, lineterminator="\n")
+    # csv quotes a cell holding "\n" but not a lone "\r", which parse_csv's
+    # reader takes for a line end, so a row holding one is quoted whole
+    quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow([*RECORD_FIELDS, "quality_score"])
+
+    def write(row):
+        cells = [row["doc_id"], row.get("url") or "", row["text"],
+                 " ".join(row.get("outlinks", [])), repr(row["quality_score"])]
+        (quote_all if "\r" in "".join(cells) else writer).writerow(cells)
+
+    return write
+
+
+# Per format: (parser: path -> checked rows, row writer: open file -> write(scored_row)).
+RECORD_FORMATS = {
+    "jsonl": (parse_jsonl, _jsonl_row_writer),
+    "csv": (parse_csv, _csv_row_writer),
+}
+
+
 def _streams(path: str, fmt: str, edges_path: str | None = None):
     """A record file's checked rows and an edge file's edges (or None), read as consumed."""
+    if fmt not in RECORD_FORMATS:
+        raise ValueError(f"unsupported record format: {fmt!r}")
     edges = _edges(edges_path) if edges_path else None
-    if fmt == "jsonl":
-        return parse_jsonl(path), edges
-    if fmt == "csv":
-        return parse_csv(path), edges
-    raise ValueError(f"unsupported record format: {fmt!r}")
+    return RECORD_FORMATS[fmt][0](path), edges
 
 
 @_gc_paused()

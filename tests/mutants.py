@@ -120,11 +120,11 @@ MUTANTS = [
     (
         CLI,
         "    return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)\n\n\n"
-        "def cmd_eval(args) -> int:\n"
+        "def cmd_eval(args) -> dict:\n"
         "    report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)",
         "    return retrieval.evaluate_checkpoints(\n"
         "        docs, traces, queries, qrels, args.k, args.alpha\n    )\n\n\n"
-        "def cmd_eval(args) -> int:\n"
+        "def cmd_eval(args) -> dict:\n"
         "    report = _eval_recall(args)",
     ),
     (
@@ -157,25 +157,32 @@ MUTANTS = [
     (CORPUS, "list(filter(in_corpus, deduped))", "list(deduped)"),
     (CORPUS, "if doc_id in adjacency:", "if False:"),
     # score's single pass: the table read before the first row, each row
-    # scored as it is parsed; a row with a lone "\r" is quoted whole in CSV
+    # scored as it is parsed
     (
         CLI,
         "    table = quality.load_score_table(args.scores) if args.scores else None\n"
         "    rows, _ = corpus._streams(args.input, in_fmt)\n"
         "    count = 0\n"
         "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
-        "        write = _ROW_WRITERS[out_fmt](fh)\n"
+        "        write = corpus.RECORD_FORMATS[out_fmt][1](fh)\n"
         "        for count, row in enumerate(rows, start=1):\n",
         "    rows, _ = corpus._streams(args.input, in_fmt)\n"
         "    count = 0\n"
         "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
-        "        write = _ROW_WRITERS[out_fmt](fh)\n"
+        "        write = corpus.RECORD_FORMATS[out_fmt][1](fh)\n"
         "        for count, row in enumerate(rows, start=1):\n"
         "            if count == 1:\n"
         "                table = quality.load_score_table(args.scores) if args.scores else None\n",
     ),
     (CLI, "enumerate(rows, start=1)", "enumerate(list(rows), start=1)"),
-    (CLI, r'"\r" in "".join(cells)', r'"\n" in "".join(cells)'),
+    # the CSV row writer quotes a row holding a lone "\r" whole
+    (CORPUS, r'"\r" in "".join(cells)', r'"\n" in "".join(cells)'),
+    # main prints each subcommand's summary as one sorted-key JSON line
+    (
+        CLI,
+        'print(_json_text(args.func(args), indent=None), end="")',
+        "print(json.dumps(args.func(args)))",
+    ),
     # input checks
     (RETRIEVAL, "if not _are_tokens([qid]):", "if not _are_tokens([qid.strip()]):"),
     (

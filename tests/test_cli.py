@@ -34,6 +34,44 @@ def corpus_files(tmp_path, five_node_rows, jsonl_writer):
     }
 
 
+def _summary_argv(files, command):
+    d = files["dir"]
+    return {
+        "score": ["score", "--input", files["corpus"], "--output", str(d / "scored.jsonl")],
+        "crawl": ["crawl", "--input", files["corpus"], "--seeds", files["seeds"],
+                  "--strategy", "bfs", "--budget", "10", "--checkpoint-interval", "2",
+                  "--output", str(d / "bfs.tsv")],
+        "index": ["index", "--input", files["corpus"], "--output", str(d / "index.json")],
+        "eval": ["eval", "--input", files["corpus"], "--trace", f"bfs={d / 'bfs.tsv'}",
+                 "--queries", files["queries"], "--qrels", files["qrels"],
+                 "--output", str(d / "report.jsonl")],
+        "stats": ["stats", "--scores", files["scores"], "--input", files["corpus"],
+                  "--qrels", files["qrels"], "--output", str(d / "stats")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["score", "crawl", "index", "eval", "stats"])
+def test_stdout_is_one_sorted_key_json_line_or_nothing(corpus_files, capsys, command):
+    """A run prints its summary as one sorted-key JSON line (index --output
+    writes the same bytes); a failing run prints nothing and exits 1."""
+    if command == "eval":
+        assert main(_summary_argv(corpus_files, "crawl")) == 0
+        capsys.readouterr()
+    argv = _summary_argv(corpus_files, command)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out)
+    assert isinstance(summary, dict)
+    assert out == json.dumps(summary, sort_keys=True) + "\n"
+    if command == "index":
+        assert (corpus_files["dir"] / "index.json").read_bytes() == out.encode()
+    argv[argv.index(corpus_files["corpus"])] = str(corpus_files["dir"] / "missing.jsonl")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 class TestScore:
     def test_jsonl_to_jsonl_adds_field(self, corpus_files, capsys):
         out = corpus_files["dir"] / "scored.jsonl"

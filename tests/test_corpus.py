@@ -117,6 +117,18 @@ def test_csv_roundtrip(tmp_path):
     assert stats.records == 3
 
 
+def test_scored_csv_row_holding_a_lone_cr_reads_back_as_one_row(tmp_path):
+    row = {"doc_id": "a", "url": None, "text": "one\rtwo", "outlinks": ["b"], "quality_score": -0.5}
+    path = tmp_path / "scored.csv"
+    with atomic_write(str(path)) as fh:
+        corpus_module.RECORD_FORMATS["csv"][1](fh)(row)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["doc_id", "url", "text", "outlinks", "quality_score"],
+            ["a", "", "one\rtwo", "b", "-0.5"],
+        ]
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("id,url,text,outlinks\na,,x,\n")
