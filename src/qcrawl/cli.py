@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import sys
@@ -102,6 +103,7 @@ def cmd_index(args) -> dict:
 
 def _eval_recall(args) -> list:
     """Load eval's inputs and run the recall step: the pages and traces die with this call."""
+    import numpy  # noqa: F401  # first, so its lasting objects pin no arena the pages free
     docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
     traces = {}
     for entry in args.trace:
@@ -119,7 +121,9 @@ def _eval_recall(args) -> list:
 
 
 def cmd_eval(args) -> dict:
-    report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)
+    recall_rows = _eval_recall(args)
+    gc.collect()  # empties the free lists, whose cached objects pin arenas, before scipy loads
+    report = retrieval.evaluate_significance(recall_rows, args.k, args.alpha)
     with corpus.atomic_write(args.output) as fh:
         fh.write(report.to_jsonl())
     return {
@@ -141,11 +145,10 @@ def _joint_histograms(value_lists: list[list[float]], bins: int):
     return lo, hi, [analytics.histogram(values, bins, (lo, hi)) for values in value_lists]
 
 
-def _relevance_split(args, label: str, table: dict[str, float]) -> str:
-    """relevance_split.json's text: its value lists die before stats loads the graph."""
+def _relevance_split(args, label: str, table: dict[str, float], qrels) -> str:
+    """relevance_split.json's text: its value lists die with this call."""
     from . import analytics
 
-    qrels = retrieval.load_qrels(args.qrels)
     relevant, irrelevant = analytics.split_by_relevance(table, qrels)
     payload = {
         "table": label,
@@ -217,8 +220,9 @@ def cmd_stats(args) -> dict:
     first_label = next(iter(tables))
     first_table = tables[first_label]
 
-    if args.qrels:
-        outputs["relevance_split.json"] = _relevance_split(args, first_label, first_table)
+    qrels = retrieval.load_qrels(args.qrels) if args.qrels else None  # checked before the corpus
+    if qrels is not None:
+        outputs["relevance_split.json"] = ""  # its place in `written`; made once the graph is freed
     else:
         skipped["relevance_split"] = "no qrels given"
 
@@ -240,8 +244,11 @@ def cmd_stats(args) -> dict:
         writer.writerow(["center_x", "center_y", "count"])
         writer.writerows([repr(cx), repr(cy), count] for cx, cy, count in grid.cells)
         outputs["hexbin.csv"] = buf.getvalue()
+        del graph, points, grid  # undersample's first generator then loads into their memory
     else:
         skipped["correlation"] = "no corpus given"
+    if qrels is not None:
+        outputs["relevance_split.json"] = _relevance_split(args, first_label, first_table, qrels)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

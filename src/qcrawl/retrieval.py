@@ -12,10 +12,11 @@ checkpoint, which adds the pages since the last one, holding postings only
 for query terms and the length of every page; each page is tokenised once
 per evaluation. N, df, dl and avgdl all come from integer counts, so every
 score equals the one an index built from scratch over the prefix would give.
-Ranking runs on numpy arrays: the postings are weighed once per index state,
-and a search sums each doc's weights in query-term order. Evaluation runs in
-two steps that share only the recall rows, so the index, the tokenise cache
-and, in ``qcrawl eval``, the pages and traces are freed before scipy loads.
+Ranking runs on numpy arrays: postings are weighed once per index state, a
+search sums each doc's weights in query-term order, and recall is counted at
+the k-th best score, ranking no list. The two evaluation steps share only the
+recall rows: the index, tokenise cache and, in ``qcrawl eval``, the pages and
+traces are freed, numpy loaded first and garbage collected, before scipy loads.
 """
 
 from __future__ import annotations
@@ -100,16 +101,10 @@ def build_index(
     return index
 
 
-def _term_weight(idf: float, tf: int, dl: int, avgdl: float) -> float:
-    """BM25 weight of tf occurrences in a document of length dl; elementwise on arrays."""
-    norm = K1 * (1.0 - B + B * dl / avgdl)
-    return idf * tf * (K1 + 1.0) / (tf + norm)
-
-
 def _weigh_postings(index: InvertedIndex) -> tuple:
     """Number the posted docs 0.. in order of first posting and weigh every posting
     of the index state in one pass over float64 arrays. Returns (doc_id by number,
-    posting doc numbers, posting weights, term -> slice of both)."""
+    number by doc_id, posting doc numbers, posting weights, term -> slice of both)."""
     import numpy as np
 
     postings, lists = index.postings, index.postings.values()
@@ -120,9 +115,23 @@ def _weigh_postings(index: InvertedIndex) -> tuple:
     tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.float64, sum(dfs))
     lengths = np.fromiter(map(index.doc_lengths.__getitem__, doc_ids), np.float64, len(doc_ids))
     idf = [math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5)) for df in dfs]
-    weights = _term_weight(np.repeat(idf, dfs), tf, lengths[docs], index.avgdl)
+    norm = K1 * (1.0 - B + B * lengths[docs] / index.avgdl)  # BM25, over every posting at once
+    weights = np.repeat(idf, dfs) * tf * (K1 + 1.0) / (tf + norm)
     spans = {term: slice(end - df, end) for term, df, end in zip(postings, dfs, accumulate(dfs))}
-    return doc_ids, docs, weights, spans
+    return doc_ids, number, docs, weights, spans
+
+
+def _query_sums(index: InvertedIndex, query_terms):
+    """BM25 score of a query for every posted doc, by number, each doc's weights added
+    from 0.0 in query-term order. Every weight is > 0: a doc matches iff it scores > 0."""
+    import numpy as np
+
+    if index._ranking is None:
+        index._ranking = _weigh_postings(index)
+    doc_ids, _, docs, weights, spans = index._ranking
+    hits = [slice(0, 0)] + [spans[t] for t in dict.fromkeys(query_terms) if t in spans]
+    docs = np.concatenate([docs[hit] for hit in hits])
+    return np.bincount(docs, np.concatenate([weights[hit] for hit in hits]), minlength=len(doc_ids))
 
 
 def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, float]]:
@@ -131,18 +140,8 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    if index._ranking is None:
-        index._ranking = _weigh_postings(index)
-    doc_ids, docs, weights, spans = index._ranking
-    hits = [spans[t] for t in dict.fromkeys(query_terms) if t in spans]
-    if not hits:
-        return []
-    # each doc's weights are added from 0.0 in query-term order
-    docs = np.concatenate([docs[hit] for hit in hits])
-    summed = np.bincount(docs, np.concatenate([weights[hit] for hit in hits]))
-    if len(docs) > k:  # a doc matched by several terms is in docs once per term: keep one
-        docs = np.sort(docs)
-        docs = docs[np.concatenate(([True], docs[1:] != docs[:-1]))]
+    summed, doc_ids = _query_sums(index, query_terms), index._ranking[0]
+    docs = np.flatnonzero(summed)  # the matched docs
     scores, tail = summed[docs], []
     if len(docs) > k:  # cut at the k-th best score; its ties go to the smallest doc_ids
         kth = np.partition(scores, len(docs) - k)[len(docs) - k]
@@ -150,8 +149,25 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
         above = scores > kth
         docs, scores = docs[above], scores[above]
         tail = [(doc_id, float(kth)) for doc_id in tied[: k - len(docs)]]
-    head = dict(zip(map(doc_ids.__getitem__, docs.tolist()), scores.tolist()))  # a doc once
-    return sorted(sorted(head.items()), key=itemgetter(1), reverse=True) + tail
+    head = zip(map(doc_ids.__getitem__, docs.tolist()), scores.tolist())
+    return sorted(sorted(head), key=itemgetter(1), reverse=True) + tail
+
+
+def _found_in_topk(index: InvertedIndex, query_terms, relevant: set[str], k: int) -> int:
+    """How many docs of ``relevant`` search_topk would return, counted at the k-th score."""
+    import numpy as np
+
+    summed, (doc_ids, number) = _query_sums(index, query_terms), index._ranking[:2]
+    rel_scores = summed[[number[doc_id] for doc_id in relevant if doc_id in number]]
+    scores = summed[summed > 0]  # the matched docs
+    if len(scores) <= k:
+        return int(np.count_nonzero(rel_scores > 0))
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    found = int(np.count_nonzero(rel_scores > kth))
+    if (rel_scores == kth).any():  # the tied docs that fill the top k: the smallest doc_ids
+        ties = sorted(map(doc_ids.__getitem__, np.flatnonzero(summed == kth).tolist()))
+        found += len(relevant.intersection(ties[: k - np.count_nonzero(scores > kth)]))
+    return found
 
 
 def load_queries(path: str) -> dict[str, str]:
@@ -196,10 +212,7 @@ def relevant_docs(qrels: dict[str, dict[str, int]], query_id: str) -> set[str]:
 
 def recall_at_k(ranked, qrels: dict[str, dict[str, int]], query_id: str, k: int) -> float:
     """Fraction of ALL judged-relevant docs of the query found in the top k."""
-    return _recall(ranked, relevant_docs(qrels, query_id), query_id, k)
-
-
-def _recall(ranked, relevant: set[str], query_id: str, k: int) -> float:
+    relevant = relevant_docs(qrels, query_id)
     if not relevant:
         raise SkippedQuery(f"query {query_id!r} has no judged-relevant documents")
     return len(relevant.intersection(doc_id for doc_id, _ in ranked[:k])) / len(relevant)
@@ -360,7 +373,7 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
             segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
             index = build_index(corpus, segment, index, query_term_counts)
             per_query = {
-                qid: _recall(search_topk(index, query_terms[qid], k), relevant[qid], qid, k)
+                qid: _found_in_topk(index, query_terms[qid], relevant[qid], k) / len(relevant[qid])
                 for qid in eval_qids
             }
             mean = sum(per_query.values()) / len(eval_qids)

@@ -7,9 +7,12 @@ repository root. For each, ``src/`` and ``tests/`` are copied to a temporary
 directory, the edit is applied there, and the test files that ``TESTS_OF``
 lists for ``file`` run in that copy with ``pytest -x -q -p no:cacheprovider``.
 A mutant is killed when they fail. The whole unmutated suite runs first and
-must pass, or every mutant would look killed. An ``old`` that does not occur
-exactly once in its file, or a file with no test files listed, stops the
-script before any run, so a stale entry cannot pass unnoticed.
+must pass, or every mutant would look killed. Mutated runs set
+``QCRAWL_HYPOTHESIS_VERDICT``, which loads the ``verdict`` Hypothesis profile
+of ``tests/conftest.py``: a kill needs no shrunk or explained example. An
+``old`` that does not occur exactly once in its file, or a file with no test
+files listed, stops the script before any run, so a stale entry cannot pass
+unnoticed.
 
 Exit status: 0 when every mutant is killed, 1 when one survives or the
 unmutated suite fails, 2 on a stale entry. Uses only the standard library.
@@ -69,8 +72,8 @@ MUTANTS = [
     (RETRIEVAL, "K1 = 1.2\n", "K1 = 1.25\n"),
     (
         RETRIEVAL,
-        "norm = K1 * (1.0 - B + B * dl / avgdl)",
-        "norm = K1 * (1.0 - B) + B * dl / avgdl",
+        "norm = K1 * (1.0 - B + B * lengths[docs] / index.avgdl)",
+        "norm = K1 * (1.0 - B) + B * lengths[docs] / index.avgdl",
     ),
     (
         RETRIEVAL,
@@ -94,7 +97,8 @@ MUTANTS = [
         "return len(tokens), dict(Counter(counted))",
         "return max(len(tokens), 1), dict(Counter(counted))",
     ),
-    # the per-state weight arrays, their accumulation and the top-k cut of search_topk
+    # the per-state weight arrays and their accumulation in _query_sums, which
+    # search_topk and eval's recall count share
     (RETRIEVAL, "    index._ranking = None", "    pass"),
     (RETRIEVAL, "for df in dfs]", "for df in reversed(dfs)]"),
     (
@@ -102,6 +106,7 @@ MUTANTS = [
         "for t in dict.fromkeys(query_terms) if",
         "for t in reversed(dict.fromkeys(query_terms)) if",
     ),
+    # the matched docs and the top-k cut of search_topk
     (
         RETRIEVAL,
         "tied = sorted(map(doc_ids.__getitem__,",
@@ -110,22 +115,34 @@ MUTANTS = [
     (RETRIEVAL, "above = scores > kth", "above = scores >= kth"),
     (
         RETRIEVAL,
-        "sorted(sorted(head.items()), key=itemgetter(1), reverse=True)",
-        "sorted(head.items(), key=itemgetter(1), reverse=True)",
+        "sorted(sorted(head), key=itemgetter(1), reverse=True)",
+        "sorted(head, key=itemgetter(1), reverse=True)",
     ),
-    (RETRIEVAL, "docs[1:] != docs[:-1]", "docs[1:] >= docs[:-1]"),
+    (RETRIEVAL, "docs = np.flatnonzero(summed)", "docs = np.flatnonzero(summed >= 0)"),
+    # eval's recall count at the k-th score: strictly above it is in, ties go to
+    # the smallest doc_ids, and with k or fewer matched docs each matched one is in
+    (RETRIEVAL, "np.count_nonzero(rel_scores > kth)", "np.count_nonzero(rel_scores >= kth)"),
+    (
+        RETRIEVAL,
+        "ties[: k - np.count_nonzero(scores > kth)]",
+        "ties[: k - np.count_nonzero(scores > kth) + 1]",
+    ),
+    (
+        RETRIEVAL,
+        "ties = sorted(map(doc_ids.__getitem__,",
+        "ties = list(map(doc_ids.__getitem__,",
+    ),
+    (RETRIEVAL, "if len(scores) <= k:", "if len(scores) <= k + 1:"),
+    (RETRIEVAL, "return int(np.count_nonzero(rel_scores > 0))", "return len(rel_scores)"),
     # eval's two steps: the loading helper returns only recall rows, so the
-    # pages and traces are freed before the t-tests; k is checked before any
-    # page is tokenised
+    # pages and traces are freed before the t-tests (the mutant runs them while
+    # the pages are alive, and the report is unchanged); k is checked before
+    # any page is tokenised
     (
         CLI,
-        "    return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)\n\n\n"
-        "def cmd_eval(args) -> dict:\n"
-        "    report = retrieval.evaluate_significance(_eval_recall(args), args.k, args.alpha)",
-        "    return retrieval.evaluate_checkpoints(\n"
-        "        docs, traces, queries, qrels, args.k, args.alpha\n    )\n\n\n"
-        "def cmd_eval(args) -> dict:\n"
-        "    report = _eval_recall(args)",
+        "return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)",
+        "return retrieval.evaluate_checkpoints(\n"
+        "        docs, traces, queries, qrels, args.k, args.alpha\n    ).recall_rows",
     ),
     (
         RETRIEVAL,
@@ -242,6 +259,8 @@ def suite_passes(edit: tuple[str, str, str] | None) -> bool:
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
             targets = [f"tests/{name}" for name in TESTS_OF[file]]
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        if edit is not None:  # a mutant needs a verdict, not a shrunk and explained example
+            env["QCRAWL_HYPOTHESIS_VERDICT"] = "1"  # tests/conftest.py's "verdict" profile
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
             cwd=work,

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -349,6 +350,91 @@ class TestRecall:
         qrels = {"q": {"d2": 1, "d5": 1, "d9": 1, "elsewhere": 1}}
         values = [recall_at_k(ranked, qrels, "q", k) for k in range(1, 12)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def _crawled(order, checkpoints):
+    """A trace that crawled ``order`` with the given checkpoint ranks."""
+    entries = [(rank, doc_id, None) for rank, doc_id in enumerate(order, start=1)]
+    return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
+
+
+class TestRecallAtTheCut:
+    """evaluate_recall counts each query's relevant docs against the k-th score
+    and ranks no list; its rows must equal those of the oracle, which ranks every
+    prefix from scratch. Tie-heavy pages make the doc_id tie rule decide."""
+
+    NO_SHRINK = (Phase.explicit, Phase.generate)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        n_pages=st.integers(1, 160),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=5), min_size=1),
+        k=st.sampled_from([1, 3, 100]),
+    )
+    def test_tie_heavy_rows_equal_the_oracle(self, n_pages, seed, queries, k):
+        # every page has 8 tokens and tf <= 2 of each query term, so many docs tie at the k-th
+        rng = np.random.default_rng(seed)
+        texts = {}
+        for i, counts in enumerate(rng.integers(0, 3, size=(n_pages, 4)).tolist()):
+            words = [term for term, tf in zip("abcd", counts) for _ in range(tf)]
+            texts[f"d{i}"] = " ".join(words + ["z"] * (8 - len(words)))
+        corpus = _corpus(texts)
+        order = [f"d{i}" for i in rng.permutation(n_pages)]
+        crawled = order[: rng.integers(1, n_pages + 1)]
+        cuts = (rng.random(len(crawled)) < 0.2).tolist()
+        checkpoints = list(accumulate(map(len, _segments(crawled, cuts))))
+        # the qrels: docs that tie at the k-th score of one checkpoint's prefix, a few
+        # other crawled pages, pages that were never crawled and an id that is no page
+        at = checkpoints[rng.integers(len(checkpoints))]
+        index = reference_build_index(corpus, crawled[:at])
+        query_texts, qrels = {}, {}
+        for i, terms in enumerate(queries):
+            ranked = reference_search_topk(index, terms, n_pages)
+            kth = ranked[min(k, len(ranked)) - 1][1] if ranked else None
+            tied = [doc_id for doc_id, score in ranked if score == kth]
+            picked = [d for d in tied + order[len(crawled):] if rng.random() < 0.5]
+            picked += [d for d in crawled if rng.random() < 0.1] + ["nowhere"]
+            query_texts[f"q{i}"] = " ".join(terms)
+            qrels[f"q{i}"] = dict.fromkeys(picked, 1)
+        traces = {"bfs": _crawled(crawled, checkpoints)}
+        expected = reference_evaluate_checkpoints(corpus, traces, query_texts, qrels, k)
+        assert retrieval.evaluate_recall(corpus, traces, query_texts, qrels, k) == (
+            expected.recall_rows
+        )
+
+    # d1, d2 and d3 tie on "a"; d1 enters last, so it is numbered after d2 and d3.
+    # d4 is posted for "b" before any page holds "a"; d5 outscores the ties on "a".
+    TEXTS = {"d1": "a z", "d2": "a z", "d3": "a z", "d4": "b z", "d5": "a a"}
+
+    @pytest.mark.parametrize(
+        "order, checkpoints, relevant, k, recall",
+        [
+            # a tied relevant doc is in by doc_id: the smallest tied doc_id takes the one slot
+            (["d2", "d3", "d1"], [2, 3], "d1", 1, [0.0, 1.0]),
+            # and out by doc_id: d1 and d2 take the two slots
+            (["d2", "d3", "d1"], [2, 3], "d3", 2, [1.0, 0.0]),
+            # k or fewer docs match: each is in, and a posted doc that no query term hits is not
+            (["d4", "d2"], [1, 2], "d4", 10, [0.0, 0.0]),
+            # one doc more than k matches: the relevant doc is the one left out
+            (["d5", "d2"], [1, 2], "d2", 1, [0.0, 0.0]),
+        ],
+    )
+    def test_hand_cases(self, order, checkpoints, relevant, k, recall):
+        corpus, traces = _corpus(self.TEXTS), {"bfs": _crawled(order, checkpoints)}
+        queries, qrels = {"q": "a", "qb": "b"}, {"q": {relevant: 1}, "qb": {"d4": 1}}
+        rows = retrieval.evaluate_recall(corpus, traces, queries, qrels, k)
+        assert [row.per_query["q"] for row in rows] == recall
+        assert rows == reference_evaluate_checkpoints(corpus, traces, queries, qrels, k).recall_rows
+
+    def test_every_posting_weight_is_positive(self):
+        # so a doc is matched by a query exactly when its summed score is > 0; the
+        # smallest weight: a term on every page, once, in by far the longest page
+        texts = {f"d{i}": "a" for i in range(500)}
+        texts["long"] = "a " + "z " * 5000
+        index = build_index(_corpus(texts), texts)
+        weights = retrieval._weigh_postings(index)[3]
+        assert len(weights) == 502 and (weights > 0).all()
 
 
 class TestTTest:
