@@ -217,11 +217,12 @@ def cmd_stats(args) -> dict:
     else:
         skipped["js_matrix"] = "need at least two score tables"
 
-    first_label = next(iter(tables))
-    first_table = tables[first_label]
+    first_label, first_table = next(iter(tables.items()))
 
     qrels = retrieval.load_qrels(args.qrels) if args.qrels else None  # checked before the corpus
     if qrels is not None:
+        if args.undersample and args.rng_seed < 0:  # undersample's generator runs after the graph
+            raise ValueError(f"--rng-seed must be >= 0 to undersample, got {args.rng_seed}")
         outputs["relevance_split.json"] = ""  # its place in `written`; made once the graph is freed
     else:
         skipped["relevance_split"] = "no qrels given"

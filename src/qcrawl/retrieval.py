@@ -121,53 +121,52 @@ def _weigh_postings(index: InvertedIndex) -> tuple:
     return doc_ids, number, docs, weights, spans
 
 
-def _query_sums(index: InvertedIndex, query_terms):
-    """BM25 score of a query for every posted doc, by number, each doc's weights added
-    from 0.0 in query-term order. Every weight is > 0: a doc matches iff it scores > 0."""
+def _query_sums(index: InvertedIndex, query_terms) -> tuple:
+    """(Each posted doc's BM25 score by number, doc_id by number, number by doc_id); a
+    doc's weights add from 0.0 in query-term order. Every weight is > 0: matched iff > 0."""
     import numpy as np
 
     if index._ranking is None:
         index._ranking = _weigh_postings(index)
-    doc_ids, _, docs, weights, spans = index._ranking
+    doc_ids, number, docs, weights, spans = index._ranking
     hits = [slice(0, 0)] + [spans[t] for t in dict.fromkeys(query_terms) if t in spans]
     docs = np.concatenate([docs[hit] for hit in hits])
-    return np.bincount(docs, np.concatenate([weights[hit] for hit in hits]), minlength=len(doc_ids))
+    summed = np.bincount(docs, np.concatenate([weights[hit] for hit in hits]), len(doc_ids))
+    return summed, doc_ids, number
+
+
+def _cut(summed, doc_ids: list[str], k: int) -> tuple:
+    """The top-k cut of a query's sums: (the k-th best score, the sorted doc_ids tied
+    at it that fill the top k). A doc above the k-th score is in; its ties go to the
+    smallest doc_ids. With k or fewer matched docs, every one is in: (0.0, [])."""
+    import numpy as np
+
+    docs = np.flatnonzero(summed)  # the matched docs
+    scores = summed[docs]
+    if len(docs) <= k:
+        return 0.0, []
+    kth = np.partition(scores, len(docs) - k)[len(docs) - k]
+    tied = sorted(map(doc_ids.__getitem__, docs[scores == kth].tolist()))
+    return kth, tied[: k - np.count_nonzero(scores > kth)]
 
 
 def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, float]]:
     """Top-k matching documents, score descending, ties by doc_id ascending."""
-    import numpy as np
-
     if k < 1:
         raise ValueError("k must be >= 1")
-    summed, doc_ids = _query_sums(index, query_terms), index._ranking[0]
-    docs = np.flatnonzero(summed)  # the matched docs
-    scores, tail = summed[docs], []
-    if len(docs) > k:  # cut at the k-th best score; its ties go to the smallest doc_ids
-        kth = np.partition(scores, len(docs) - k)[len(docs) - k]
-        tied = sorted(map(doc_ids.__getitem__, docs[scores == kth].tolist()))
-        above = scores > kth
-        docs, scores = docs[above], scores[above]
-        tail = [(doc_id, float(kth)) for doc_id in tied[: k - len(docs)]]
-    head = zip(map(doc_ids.__getitem__, docs.tolist()), scores.tolist())
-    return sorted(sorted(head), key=itemgetter(1), reverse=True) + tail
+    summed, doc_ids, _ = _query_sums(index, query_terms)
+    kth, tied = _cut(summed, doc_ids, k)
+    docs = (summed > kth).nonzero()[0]
+    head = zip(map(doc_ids.__getitem__, docs.tolist()), summed[docs].tolist())
+    return sorted(sorted(head), key=itemgetter(1), reverse=True) + [(d, float(kth)) for d in tied]
 
 
 def _found_in_topk(index: InvertedIndex, query_terms, relevant: set[str], k: int) -> int:
-    """How many docs of ``relevant`` search_topk would return, counted at the k-th score."""
-    import numpy as np
-
-    summed, (doc_ids, number) = _query_sums(index, query_terms), index._ranking[:2]
+    """How many docs of ``relevant`` search_topk would return, counted at its cut."""
+    summed, doc_ids, number = _query_sums(index, query_terms)
+    kth, tied = _cut(summed, doc_ids, k)
     rel_scores = summed[[number[doc_id] for doc_id in relevant if doc_id in number]]
-    scores = summed[summed > 0]  # the matched docs
-    if len(scores) <= k:
-        return int(np.count_nonzero(rel_scores > 0))
-    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-    found = int(np.count_nonzero(rel_scores > kth))
-    if (rel_scores == kth).any():  # the tied docs that fill the top k: the smallest doc_ids
-        ties = sorted(map(doc_ids.__getitem__, np.flatnonzero(summed == kth).tolist()))
-        found += len(relevant.intersection(ties[: k - np.count_nonzero(scores > kth)]))
-    return found
+    return int((rel_scores > kth).sum()) + len(relevant.intersection(tied))
 
 
 def load_queries(path: str) -> dict[str, str]:

@@ -1,17 +1,14 @@
 import json
-import os
 
 import pytest
 from hypothesis import Phase, settings
 
 from qcrawl import build_corpus
 
-# tests/mutants.py sets QCRAWL_HYPOTHESIS_VERDICT for mutated runs only: a failing
-# example there needs a verdict, so this profile neither shrinks nor explains it.
-# Every other run keeps the default profile, which does both.
+# tests/mutants.py runs each mutant with --hypothesis-profile=verdict: a failing example
+# there needs a verdict, so this profile neither shrinks nor explains it. Every other
+# run keeps the default profile, which does both.
 settings.register_profile("verdict", phases=(Phase.explicit, Phase.reuse, Phase.generate))
-if os.environ.get("QCRAWL_HYPOTHESIS_VERDICT"):
-    settings.load_profile("verdict")
 
 
 @pytest.fixture

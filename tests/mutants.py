@@ -7,9 +7,9 @@ repository root. For each, ``src/`` and ``tests/`` are copied to a temporary
 directory, the edit is applied there, and the test files that ``TESTS_OF``
 lists for ``file`` run in that copy with ``pytest -x -q -p no:cacheprovider``.
 A mutant is killed when they fail. The whole unmutated suite runs first and
-must pass, or every mutant would look killed. Mutated runs set
-``QCRAWL_HYPOTHESIS_VERDICT``, which loads the ``verdict`` Hypothesis profile
-of ``tests/conftest.py``: a kill needs no shrunk or explained example. An
+must pass, or every mutant would look killed. Mutated runs pass
+``--hypothesis-profile=verdict``, the profile that ``tests/conftest.py``
+registers: a kill needs no shrunk or explained example. An
 ``old`` that does not occur exactly once in its file, or a file with no test
 files listed, stops the script before any run, so a stale entry cannot pass
 unnoticed.
@@ -106,34 +106,29 @@ MUTANTS = [
         "for t in dict.fromkeys(query_terms) if",
         "for t in reversed(dict.fromkeys(query_terms)) if",
     ),
-    # the matched docs and the top-k cut of search_topk
+    # _cut, the top-k cut that search_topk and eval's recall count share: the
+    # matched docs, the doc_id tie-break, the tie slice and the "k or fewer
+    # matched docs" branch; then each caller's strict cut at the k-th score
     (
         RETRIEVAL,
         "tied = sorted(map(doc_ids.__getitem__,",
         "tied = list(map(doc_ids.__getitem__,",
     ),
-    (RETRIEVAL, "above = scores > kth", "above = scores >= kth"),
+    (
+        RETRIEVAL,
+        "tied[: k - np.count_nonzero(scores > kth)]",
+        "tied[: k - np.count_nonzero(scores > kth) + 1]",
+    ),
+    (RETRIEVAL, "docs = np.flatnonzero(summed)", "docs = np.flatnonzero(summed >= 0)"),
+    (RETRIEVAL, "if len(docs) <= k:", "if len(docs) <= k + 1:"),
+    (RETRIEVAL, "return 0.0, []", "return -1.0, []"),
+    (RETRIEVAL, "docs = (summed > kth).nonzero()[0]", "docs = (summed >= kth).nonzero()[0]"),
     (
         RETRIEVAL,
         "sorted(sorted(head), key=itemgetter(1), reverse=True)",
         "sorted(head, key=itemgetter(1), reverse=True)",
     ),
-    (RETRIEVAL, "docs = np.flatnonzero(summed)", "docs = np.flatnonzero(summed >= 0)"),
-    # eval's recall count at the k-th score: strictly above it is in, ties go to
-    # the smallest doc_ids, and with k or fewer matched docs each matched one is in
-    (RETRIEVAL, "np.count_nonzero(rel_scores > kth)", "np.count_nonzero(rel_scores >= kth)"),
-    (
-        RETRIEVAL,
-        "ties[: k - np.count_nonzero(scores > kth)]",
-        "ties[: k - np.count_nonzero(scores > kth) + 1]",
-    ),
-    (
-        RETRIEVAL,
-        "ties = sorted(map(doc_ids.__getitem__,",
-        "ties = list(map(doc_ids.__getitem__,",
-    ),
-    (RETRIEVAL, "if len(scores) <= k:", "if len(scores) <= k + 1:"),
-    (RETRIEVAL, "return int(np.count_nonzero(rel_scores > 0))", "return len(rel_scores)"),
+    (RETRIEVAL, "int((rel_scores > kth).sum())", "int((rel_scores >= kth).sum())"),
     # eval's two steps: the loading helper returns only recall rows, so the
     # pages and traces are freed before the t-tests (the mutant runs them while
     # the pages are alive, and the report is unchanged); k is checked before
@@ -258,9 +253,8 @@ def suite_passes(edit: tuple[str, str, str] | None) -> bool:
             path = work / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
             targets = [f"tests/{name}" for name in TESTS_OF[file]]
+            targets.append("--hypothesis-profile=verdict")  # a verdict, not a shrunk example
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-        if edit is not None:  # a mutant needs a verdict, not a shrunk and explained example
-            env["QCRAWL_HYPOTHESIS_VERDICT"] = "1"  # tests/conftest.py's "verdict" profile
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
             cwd=work,

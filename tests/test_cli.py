@@ -566,6 +566,25 @@ class TestStats:
             "correlation.json", "hexbin.csv", "histograms.json", "relevance_split.json",
         }
 
+    def test_bad_qrels_then_a_negative_seed_come_before_a_bad_corpus(self, corpus_files, capsys):
+        # the relevance split is built after the graph load, but its inputs are checked before it
+        records = corpus_files["dir"] / "records.jsonl"
+        records.write_text('{"doc_id": "a", "text": \n')
+        qrels = corpus_files["dir"] / "bad.qrels"
+        qrels.write_text("q1 0 a\n")
+        out = corpus_files["dir"] / "stats_order"
+        argv = ["stats", "--scores", corpus_files["scores"], "--input", str(records),
+                "--qrels", str(qrels), "--undersample", "--rng-seed", "-1", "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {qrels}:1: ")
+        qrels.write_text(Path(corpus_files["qrels"]).read_text())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --rng-seed must be >= 0 to undersample, got -1\n"
+        argv[argv.index("-1")] = "0"
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:1: invalid JSON")
+        assert not out.exists()
+
     def test_correlation_output(self, corpus_files, capsys):
         out = corpus_files["dir"] / "stats5"
         rc = main(

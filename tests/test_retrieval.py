@@ -51,6 +51,15 @@ def _segments(order, cuts):
     return segments
 
 
+def _tie_heavy_texts(rng, n_pages):
+    """Pages d0.. of 8 tokens, each with tf <= 2 of a, b, c and d: many docs tie at the k-th."""
+    texts = {}
+    for i, counts in enumerate(rng.integers(0, 3, size=(n_pages, 4)).tolist()):
+        words = [term for term, tf in zip("abcd", counts) for _ in range(tf)]
+        texts[f"d{i}"] = " ".join(words + ["z"] * (8 - len(words)))
+    return texts
+
+
 def _corpus(texts):
     rows = [{"doc_id": d, "url": None, "text": t, "outlinks": []} for d, t in texts.items()]
     corpus, _, _ = build_corpus(rows)
@@ -288,12 +297,8 @@ class TestRankingMatchesOracle:
         queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=5), min_size=1),
     )
     def test_tie_heavy(self, n_pages, seed, queries):
-        # every page has 8 tokens and tf <= 2 of each query term, so many docs tie at the k-th
         rng = np.random.default_rng(seed)
-        texts = {}
-        for i, counts in enumerate(rng.integers(0, 3, size=(n_pages, 4)).tolist()):
-            words = [term for term, tf in zip("abcd", counts) for _ in range(tf)]
-            texts[f"d{i}"] = " ".join(words + ["z"] * (8 - len(words)))
+        texts = _tie_heavy_texts(rng, n_pages)
         order = [f"d{i}" for i in rng.permutation(n_pages)]
         cuts = (rng.random(n_pages) < 0.2).tolist()
         for index in _grown(_corpus(texts), order, cuts):
@@ -373,12 +378,8 @@ class TestRecallAtTheCut:
         k=st.sampled_from([1, 3, 100]),
     )
     def test_tie_heavy_rows_equal_the_oracle(self, n_pages, seed, queries, k):
-        # every page has 8 tokens and tf <= 2 of each query term, so many docs tie at the k-th
         rng = np.random.default_rng(seed)
-        texts = {}
-        for i, counts in enumerate(rng.integers(0, 3, size=(n_pages, 4)).tolist()):
-            words = [term for term, tf in zip("abcd", counts) for _ in range(tf)]
-            texts[f"d{i}"] = " ".join(words + ["z"] * (8 - len(words)))
+        texts = _tie_heavy_texts(rng, n_pages)
         corpus = _corpus(texts)
         order = [f"d{i}" for i in rng.permutation(n_pages)]
         crawled = order[: rng.integers(1, n_pages + 1)]
