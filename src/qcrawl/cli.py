@@ -15,11 +15,11 @@ import gc
 import io
 import json
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from . import corpus, crawler, quality, retrieval
-from .errors import QCrawlError
+from .errors import MissingScore, QCrawlError
 
 
 def _parse_format(value: str) -> tuple[str, str]:
@@ -38,6 +38,15 @@ def _json_text(payload, indent: int | None = 2) -> str:
     return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
 
 
+@contextmanager
+def _naming(table: str | None):
+    """Put the score table's path in front of an error for a page that it lacks."""
+    try:
+        yield
+    except MissingScore as exc:
+        raise (MissingScore(f"{table}: {exc}") if table else exc) from None
+
+
 def cmd_score(args) -> dict:
     """Score and write one row at a time: the table is read first, then
     the first faulty row in file order fails the run."""
@@ -45,7 +54,7 @@ def cmd_score(args) -> dict:
     table = quality.load_score_table(args.scores) if args.scores else None
     rows, _ = corpus._streams(args.input, in_fmt)
     count = 0
-    with closing(rows), corpus.atomic_write(args.output) as fh:
+    with _naming(args.scores), closing(rows), corpus.atomic_write(args.output) as fh:
         write = corpus.RECORD_FORMATS[out_fmt][1](fh)
         for count, row in enumerate(rows, start=1):
             if "quality_score" in row:
@@ -59,14 +68,15 @@ def cmd_crawl(args) -> dict:
     graph, stats = corpus.load_graph(args.input, args.format, args.edges)
     seeds = corpus.load_seeds(args.seeds, graph)
     scores = quality.load_score_table(args.scores) if args.scores else None
-    trace = crawler.run_crawl(
-        graph,
-        seeds,
-        args.strategy,
-        budget=args.budget,
-        checkpoint_interval=args.checkpoint_interval,
-        scores=scores,
-    )
+    with _naming(args.scores):
+        trace = crawler.run_crawl(
+            graph,
+            seeds,
+            args.strategy,
+            budget=args.budget,
+            checkpoint_interval=args.checkpoint_interval,
+            scores=scores,
+        )
     crawler.write_trace(trace, args.output)
     return {
         "strategy": args.strategy,
@@ -102,7 +112,11 @@ def cmd_index(args) -> dict:
 
 
 def _eval_recall(args) -> list:
-    """Load eval's inputs and run the recall step: the pages and traces die with this call."""
+    """Check k and alpha, load eval's inputs, run the recall step: the pages die with it."""
+    if args.k < 1:
+        raise QCrawlError("--k must be >= 1")
+    if not 0.0 < args.alpha <= 1.0:
+        raise QCrawlError("--alpha must be in (0, 1]")
     import numpy  # noqa: F401  # first, so its lasting objects pin no arena the pages free
     docs, _, _ = corpus.load_corpus(args.input, args.format, args.edges)
     traces = {}
@@ -113,8 +127,6 @@ def _eval_recall(args) -> list:
         if name in traces:
             raise QCrawlError(f"duplicate trace name {name!r}")
         traces[name] = crawler.read_trace(path, docs)
-    if not 0.0 < args.alpha <= 1.0:
-        raise QCrawlError("--alpha must be in (0, 1]")
     queries = retrieval.load_queries(args.queries)
     qrels = retrieval.load_qrels(args.qrels)
     return retrieval.evaluate_recall(docs, traces, queries, qrels, args.k)

@@ -6,17 +6,15 @@ which keeps idf strictly positive for every indexed term. Recall@k counts
 all judged-relevant documents in the denominator, crawled or not, so the
 metric measures crawl coverage rather than pure ranking quality.
 
-Checkpoint evaluation follows each trace once. Checkpoint prefixes are
-nested, so one index per strategy grows by one ``build_index`` step per
-checkpoint, which adds the pages since the last one, holding postings only
-for query terms and the length of every page; each page is tokenised once
-per evaluation. N, df, dl and avgdl all come from integer counts, so every
-score equals the one an index built from scratch over the prefix would give.
-Ranking runs on numpy arrays: postings are weighed once per index state, a
-search sums each doc's weights in query-term order, and recall is counted at
-the k-th best score, ranking no list. The two evaluation steps share only the
-recall rows: the index, tokenise cache and, in ``qcrawl eval``, the pages and
-traces are freed, numpy loaded first and garbage collected, before scipy loads.
+Checkpoint evaluation numbers every page a trace reaches in doc_id order and
+tokenises each once, keeping its query-term postings in arrays. Each index
+state (a strategy's prefix at a checkpoint) is weighed in one pass, from the
+integer counts a full index would hold, and its queries are scored in blocks,
+each doc's weights summed in query-term order. A relevant doc counts iff its
+score is > 0 and fewer than k docs rank before it: a higher score, or the same
+score and a smaller number, that is doc_id. A state that recurs is scored once.
+Only the recall rows reach the t-tests: in ``qcrawl eval`` the pages and traces
+are freed, numpy loaded first and garbage collected, before scipy loads.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ import functools
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, count
-from operator import itemgetter
+from itertools import chain, combinations, count
 
 from .corpus import DocumentRecord, _are_tokens, read_lines, split_fields
 from .crawler import CrawlTrace, check_rank
@@ -64,7 +62,7 @@ class InvertedIndex:
 
 
 def _term_counts(
-    corpus: dict[str, DocumentRecord], doc_id: str, vocabulary: set[str] | None = None
+    corpus: dict[str, DocumentRecord], doc_id: str, vocabulary: dict[str, int] | None = None
 ) -> tuple[int, dict[str, int]]:
     """Token count and term frequencies of one corpus document; only the
     terms in ``vocabulary`` are counted when it is given."""
@@ -72,7 +70,7 @@ def _term_counts(
         raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
     tokens = tokenize(corpus[doc_id].text)
     counted = tokens if vocabulary is None else filter(vocabulary.__contains__, tokens)
-    return len(tokens), dict(Counter(counted))  # eval caches one per page: a dict is smaller
+    return len(tokens), Counter(counted)
 
 
 def build_index(
@@ -101,72 +99,96 @@ def build_index(
     return index
 
 
-def _weigh_postings(index: InvertedIndex) -> tuple:
-    """Number the posted docs 0.. in order of first posting and weigh every posting
-    of the index state in one pass over float64 arrays. Returns (doc_id by number,
-    number by doc_id, posting doc numbers, posting weights, term -> slice of both)."""
+def _weigh(docs, terms, tf, lengths, n_terms: int, n_docs: int, avgdl: float) -> tuple:
+    """Sort an index state's postings, given as doc, term and tf arrays, by term, then
+    doc, and weigh them all at once: (docs, BM25 weights, each term's first posting, dfs)."""
     import numpy as np
 
-    postings, lists = index.postings, index.postings.values()
-    dfs = list(map(len, lists))
-    doc_ids = list(dict.fromkeys(chain.from_iterable(lists)))
-    number = dict(zip(doc_ids, count()))
-    docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp, sum(dfs))
-    tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.float64, sum(dfs))
-    lengths = np.fromiter(map(index.doc_lengths.__getitem__, doc_ids), np.float64, len(doc_ids))
-    idf = [math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5)) for df in dfs]
-    norm = K1 * (1.0 - B + B * lengths[docs] / index.avgdl)  # BM25, over every posting at once
-    weights = np.repeat(idf, dfs) * tf * (K1 + 1.0) / (tf + norm)
-    spans = {term: slice(end - df, end) for term, df, end in zip(postings, dfs, accumulate(dfs))}
-    return doc_ids, number, docs, weights, spans
+    order = np.argsort(terms * np.intp(len(lengths)) + docs, kind="stable")
+    docs, terms, tf = docs[order], terms[order], tf[order]
+    dfs = np.bincount(terms, minlength=n_terms)
+    idf = np.array([math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5)) for df in dfs.tolist()])
+    norm = K1 * (1.0 - B + B * lengths[docs] / avgdl)  # BM25, over every posting at once
+    return docs, idf[terms] * tf * (K1 + 1.0) / (tf + norm), np.cumsum(dfs) - dfs, dfs
 
 
-def _query_sums(index: InvertedIndex, query_terms) -> tuple:
-    """(Each posted doc's BM25 score by number, doc_id by number, number by doc_id); a
-    doc's weights add from 0.0 in query-term order. Every weight is > 0: matched iff > 0."""
+def _ranges(starts, lens):
+    """Positions starts[i] .. starts[i] + lens[i] - 1 of every i, concatenated."""
     import numpy as np
 
-    if index._ranking is None:
-        index._ranking = _weigh_postings(index)
-    doc_ids, number, docs, weights, spans = index._ranking
-    hits = [slice(0, 0)] + [spans[t] for t in dict.fromkeys(query_terms) if t in spans]
-    docs = np.concatenate([docs[hit] for hit in hits])
-    summed = np.bincount(docs, np.concatenate([weights[hit] for hit in hits]), len(doc_ids))
-    return summed, doc_ids, number
+    return np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
-def _cut(summed, doc_ids: list[str], k: int) -> tuple:
-    """The top-k cut of a query's sums: (the k-th best score, the sorted doc_ids tied
-    at it that fill the top k). A doc above the k-th score is in; its ties go to the
-    smallest doc_ids. With k or fewer matched docs, every one is in: (0.0, [])."""
+def _sums(rows, terms, state, n: int) -> tuple:
+    """Keys row * n + doc, ascending, of the docs that a block of queries matches, and
+    their BM25 scores. Row rows[i] reads term terms[i]'s postings, in query-term order,
+    which the stable sort keeps, so a doc's weights add from 0.0 in that order. Matched
+    iff the sum is > 0."""
     import numpy as np
 
-    docs = np.flatnonzero(summed)  # the matched docs
-    scores = summed[docs]
-    if len(docs) <= k:
-        return 0.0, []
-    kth = np.partition(scores, len(docs) - k)[len(docs) - k]
-    tied = sorted(map(doc_ids.__getitem__, docs[scores == kth].tolist()))
-    return kth, tied[: k - np.count_nonzero(scores > kth)]
+    docs, weights, firsts, dfs = state
+    at = _ranges(firsts[terms], dfs[terms])
+    keys = np.repeat(rows, dfs[terms]) * n + docs[at]
+    order = np.argsort(keys, kind="stable")  # merges runs: each term's docs ascend
+    keys, first = keys[order], np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])  # a pair's first posting
+    return keys[first], np.bincount(np.cumsum(first) - 1, weights[at][order])
 
 
 def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, float]]:
     """Top-k matching documents, score descending, ties by doc_id ascending."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
-    summed, doc_ids, _ = _query_sums(index, query_terms)
-    kth, tied = _cut(summed, doc_ids, k)
-    docs = (summed > kth).nonzero()[0]
-    head = zip(map(doc_ids.__getitem__, docs.tolist()), summed[docs].tolist())
-    return sorted(sorted(head), key=itemgetter(1), reverse=True) + [(d, float(kth)) for d in tied]
+    if index._ranking is None:  # number docs in doc_id order, terms in index order
+        doc_ids = sorted(index.doc_lengths)
+        number = dict(zip(doc_ids, count()))
+        lists = index.postings.values()
+        docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp)
+        tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.intp)
+        terms = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+        lengths = np.array([index.doc_lengths[d] for d in doc_ids], np.float64)
+        state = _weigh(docs, terms, tf, lengths, len(lists), index.doc_count, index.avgdl)
+        index._ranking = doc_ids, dict(zip(index.postings, count())), state
+    doc_ids, term_ids, state = index._ranking
+    hits = np.array([term_ids[t] for t in dict.fromkeys(query_terms) if t in term_ids], np.intp)
+    keys, scores = _sums(0 * hits, hits, state, 0)
+    top = np.argsort(-scores, kind="stable")[:k]  # ties keep the keys' doc_id order
+    return list(zip(map(doc_ids.__getitem__, keys[top].tolist()), scores[top].tolist()))
 
 
-def _found_in_topk(index: InvertedIndex, query_terms, relevant: set[str], k: int) -> int:
-    """How many docs of ``relevant`` search_topk would return, counted at its cut."""
-    summed, doc_ids, number = _query_sums(index, query_terms)
-    kth, tied = _cut(summed, doc_ids, k)
-    rel_scores = summed[[number[doc_id] for doc_id in relevant if doc_id in number]]
-    return int((rel_scores > kth).sum()) + len(relevant.intersection(tied))
+BLOCK = 1 << 14  # postings that one block of eval's queries reads: arrays near 128 KiB
+
+
+def _found_counts(state, queries, relevant, shape: tuple[int, int], k: int):
+    """Per query, how many relevant docs are in its top k at one index state of ``shape``
+    (queries, docs); ``queries`` and ``relevant`` are (row, term) and (row, doc) number
+    pairs, sorted by row. Doc r is in iff s_r > 0 and fewer than k docs rank ahead of it:
+    those scored higher, and those scored s_r with a smaller number, that is doc_id."""
+    import numpy as np
+
+    (q_rows, q_terms), (r_rows, r_docs), (n_rows, n) = queries, relevant, shape
+    through = np.cumsum(np.bincount(q_rows, state[3][q_terms], n_rows))  # postings to a row
+    edges = [0, *(np.flatnonzero(np.diff(through // BLOCK)) + 1).tolist(), n_rows]
+    found = np.zeros(n_rows, np.intp)
+    for a, b in zip(edges, edges[1:]):
+        pairs, rel = (slice(*np.searchsorted(x, [a, b])) for x in (q_rows, r_rows))
+        keys, scores = _sums(q_rows[pairs], q_terms[pairs], state, n)
+        if not len(keys):
+            continue  # no query of the block matches a doc
+        rows, rel_keys = r_rows[rel] - a, r_rows[rel] * n + r_docs[rel]
+        at = np.searchsorted(keys, rel_keys, "right") - 1  # the last key <= each
+        s_r = np.where(keys[at] == rel_keys, scores[at], 0.0)
+        bounds = np.searchsorted(keys, np.arange(a, b + 1) * n)  # each row's matched docs
+        matched = (bounds[1:] - bounds[:-1])[rows]
+        lens = np.where(matched > k, matched, 0)  # k or fewer matched: each is in, no rank
+        other, owner = _ranges(bounds[rows], lens), np.repeat(np.arange(len(rows)), lens)
+        mine, theirs = s_r[owner], scores[other]
+        ahead = (theirs > mine) | ((theirs == mine) & (keys[other] < rel_keys[owner]))
+        rank = np.bincount(owner[ahead], minlength=len(rows))
+        found[a:b] = np.bincount(rows[(s_r > 0) & (rank < k)], minlength=b - a)
+    return found
 
 
 def load_queries(path: str) -> dict[str, str]:
@@ -358,23 +380,44 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
         raise ValueError("no query has judged-relevant documents")
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_terms = {qid: tokenize(queries[qid]) for qid in eval_qids}
-    vocabulary = {term for terms in query_terms.values() for term in terms}
-    # shared across traces: each page is tokenised once
-    query_term_counts = functools.cache(
-        functools.partial(_term_counts, corpus, vocabulary=vocabulary)
-    )
+    import numpy as np
+
+    query_terms = {qid: list(dict.fromkeys(tokenize(queries[qid]))) for qid in eval_qids}
+    vocabulary = dict(zip(dict.fromkeys(chain.from_iterable(query_terms.values())), count()))
+    # every page a trace reaches, numbered in doc_id order: ties then go to the smaller number
+    reached = sorted({d for t in traces.values() for _, d, _ in t.entries[: checkpoints[-1]]})
+    number = dict(zip(reached, count()))
+    hits = [(j, vocabulary[t]) for j, q in enumerate(eval_qids) for t in query_terms[q]]
+    rel = [(j, number[d]) for j, q in enumerate(eval_qids) for d in relevant[q] if d in number]
+    pairs = [np.array(x, np.intp).reshape(-1, 2).T for x in (hits, rel)]
+    lengths = array("i", [-1]) * len(number)  # a page's token count, once it is tokenised
+    postings = array("i"), array("i"), array("i")  # its doc, term and tf, in three columns
     recall_rows: list[RecallRow] = []
+    done = {}  # index state -> its per-query recall: a state that recurs is scored once
     for strategy in sorted(traces):
-        trace, index = traces[strategy], None
+        trace, total, member = traces[strategy], 0, np.zeros(len(number), bool)
         for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
             check_rank(trace, checkpoint)
-            segment = [d for _, d, _ in trace.entries[indexed:checkpoint]]
-            index = build_index(corpus, segment, index, query_term_counts)
-            per_query = {
-                qid: _found_in_topk(index, query_terms[qid], relevant[qid], k) / len(relevant[qid])
-                for qid in eval_qids
-            }
+            for doc_id in sorted(d for _, d, _ in trace.entries[indexed:checkpoint]):
+                i = number[doc_id]  # pages go in a full build's order: the same one fails first
+                if lengths[i] < 0:
+                    lengths[i], tf = _term_counts(corpus, doc_id, vocabulary)
+                    postings[0].extend([i] * len(tf))
+                    postings[1].extend(map(vocabulary.__getitem__, tf))
+                    postings[2].extend(tf.values())
+                total += lengths[i]
+                member[i] = True
+            if total == 0:
+                raise ValueError("every document in the index has zero tokens")
+            key = np.packbits(member).tobytes()  # n/8 bytes
+            if key not in done:
+                keep = member[np.frombuffer(postings[0], np.int32)]  # views die unnamed
+                columns = (np.frombuffer(column, np.int32)[keep] for column in postings)
+                state = _weigh(*columns, np.array(lengths, np.float64), len(vocabulary),
+                               checkpoint, total / checkpoint)
+                found = _found_counts(state, *pairs, (len(eval_qids), len(number)), k).tolist()
+                done[key] = [f / len(relevant[qid]) for qid, f in zip(eval_qids, found)]
+            per_query = dict(zip(eval_qids, done[key]))
             mean = sum(per_query.values()) / len(eval_qids)
             recall_rows.append(RecallRow(strategy, checkpoint, per_query, mean))
     return recall_rows

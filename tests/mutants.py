@@ -68,12 +68,12 @@ MUTANTS = [
     ),
     (RETRIEVAL, "ord(ch.lower()) if", "ord(ch) if"),
     (RETRIEVAL, "    if text.isascii():", "    if True:"),
-    # BM25 constant, term weight and collection statistics
+    # BM25 constant, term weight and collection statistics, for a built index
     (RETRIEVAL, "K1 = 1.2\n", "K1 = 1.25\n"),
     (
         RETRIEVAL,
-        "norm = K1 * (1.0 - B + B * lengths[docs] / index.avgdl)",
-        "norm = K1 * (1.0 - B) + B * lengths[docs] / index.avgdl",
+        "norm = K1 * (1.0 - B + B * lengths[docs] / avgdl)",
+        "norm = K1 * (1.0 - B) + B * lengths[docs] / avgdl",
     ),
     (
         RETRIEVAL,
@@ -85,50 +85,46 @@ MUTANTS = [
         "index.doc_count = len(index.doc_lengths)",
         "index.doc_count = len(index.doc_lengths) + 1",
     ),
-    # the growth step and the query-term index of checkpoint evaluation
     (RETRIEVAL, "ids = sorted(doc_ids)", "ids = list(doc_ids)"),
+    # and for eval's index states: N and avgdl of a prefix, the query-term postings
+    (RETRIEVAL, "checkpoint, total / checkpoint)", "checkpoint + 1, total / checkpoint)"),
+    (RETRIEVAL, "checkpoint, total / checkpoint)", "checkpoint, total / (checkpoint + 1))"),
     (
         RETRIEVAL,
-        "vocabulary = {term for terms in query_terms.values() for term in terms}",
-        "vocabulary = {term for terms in list(query_terms.values())[:-1] for term in terms}",
+        "chain.from_iterable(query_terms.values())), count()))",
+        "chain.from_iterable(list(query_terms.values())[:-1])), count()))",
     ),
     (
         RETRIEVAL,
-        "return len(tokens), dict(Counter(counted))",
-        "return max(len(tokens), 1), dict(Counter(counted))",
+        "return len(tokens), Counter(counted)",
+        "return max(len(tokens), 1), Counter(counted)",
     ),
-    # the per-state weight arrays and their accumulation in _query_sums, which
-    # search_topk and eval's recall count share
+    # the weights of an index state, made once, and their sum in query-term order
     (RETRIEVAL, "    index._ranking = None", "    pass"),
-    (RETRIEVAL, "for df in dfs]", "for df in reversed(dfs)]"),
+    (RETRIEVAL, "for df in dfs.tolist()]", "for df in reversed(dfs.tolist())]"),
     (
         RETRIEVAL,
         "for t in dict.fromkeys(query_terms) if",
         "for t in reversed(dict.fromkeys(query_terms)) if",
     ),
-    # _cut, the top-k cut that search_topk and eval's recall count share: the
-    # matched docs, the doc_id tie-break, the tie slice and the "k or fewer
-    # matched docs" branch; then each caller's strict cut at the k-th score
     (
         RETRIEVAL,
-        "tied = sorted(map(doc_ids.__getitem__,",
-        "tied = list(map(doc_ids.__getitem__,",
+        "list(dict.fromkeys(tokenize(queries[qid])))",
+        "list(reversed(dict.fromkeys(tokenize(queries[qid]))))",
     ),
-    (
-        RETRIEVAL,
-        "tied[: k - np.count_nonzero(scores > kth)]",
-        "tied[: k - np.count_nonzero(scores > kth) + 1]",
-    ),
-    (RETRIEVAL, "docs = np.flatnonzero(summed)", "docs = np.flatnonzero(summed >= 0)"),
-    (RETRIEVAL, "if len(docs) <= k:", "if len(docs) <= k + 1:"),
-    (RETRIEVAL, "return 0.0, []", "return -1.0, []"),
-    (RETRIEVAL, "docs = (summed > kth).nonzero()[0]", "docs = (summed >= kth).nonzero()[0]"),
-    (
-        RETRIEVAL,
-        "sorted(sorted(head), key=itemgetter(1), reverse=True)",
-        "sorted(head, key=itemgetter(1), reverse=True)",
-    ),
-    (RETRIEVAL, "int((rel_scores > kth).sum())", "int((rel_scores >= kth).sum())"),
+    # docs numbered in doc_id order, so ties go to the smaller doc_id, in search_topk and
+    # in eval's recall count
+    (RETRIEVAL, "doc_ids = sorted(index.doc_lengths)", "doc_ids = list(index.doc_lengths)"),
+    (RETRIEVAL, "reached = sorted({d for t", "reached = list({d for t"),
+    # the recall count: the tie test, the strict score test, the s_r > 0 guard, the
+    # rows of a query that matches more than k docs, each block's own rows, and the
+    # reuse of an index state, keyed by its pages
+    (RETRIEVAL, "& (keys[other] < rel_keys[owner])", "& (keys[other] <= rel_keys[owner])"),
+    (RETRIEVAL, "ahead = (theirs > mine) |", "ahead = (theirs >= mine) |"),
+    (RETRIEVAL, "rows[(s_r > 0) & (rank < k)]", "rows[rank < k]"),
+    (RETRIEVAL, "np.where(matched > k, matched, 0)", "np.where(matched > k + 1, matched, 0)"),
+    (RETRIEVAL, "rows, rel_keys = r_rows[rel] - a,", "rows, rel_keys = r_rows[rel],"),
+    (RETRIEVAL, "key = np.packbits(member).tobytes()", "key = checkpoint"),
     # eval's two steps: the loading helper returns only recall rows, so the
     # pages and traces are freed before the t-tests (the mutant runs them while
     # the pages are alive, and the report is unchanged); k is checked before
@@ -144,6 +140,9 @@ MUTANTS = [
         'raise ValueError("no query has judged-relevant documents")\n    if k < 1:',
         'raise ValueError("no query has judged-relevant documents")\n    if False:',
     ),
+    # a missing-score error names its table; eval's k is checked before the corpus loads
+    (CLI, 'MissingScore(f"{table}: {exc}") if table else exc', "exc"),
+    (CLI, "    if args.k < 1:\n", "    if False:\n"),
     # the qoracle frontier key without its discovery order
     (
         CRAWLER,
@@ -175,12 +174,12 @@ MUTANTS = [
         "    table = quality.load_score_table(args.scores) if args.scores else None\n"
         "    rows, _ = corpus._streams(args.input, in_fmt)\n"
         "    count = 0\n"
-        "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
+        "    with _naming(args.scores), closing(rows), corpus.atomic_write(args.output) as fh:\n"
         "        write = corpus.RECORD_FORMATS[out_fmt][1](fh)\n"
         "        for count, row in enumerate(rows, start=1):\n",
         "    rows, _ = corpus._streams(args.input, in_fmt)\n"
         "    count = 0\n"
-        "    with closing(rows), corpus.atomic_write(args.output) as fh:\n"
+        "    with _naming(args.scores), closing(rows), corpus.atomic_write(args.output) as fh:\n"
         "        write = corpus.RECORD_FORMATS[out_fmt][1](fh)\n"
         "        for count, row in enumerate(rows, start=1):\n"
         "            if count == 1:\n"

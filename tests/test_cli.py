@@ -143,7 +143,7 @@ class TestScore:
              "--scores", str(table)]
         )
         assert rc == 1
-        assert capsys.readouterr().err == "error: no table entry for 'd'\n"
+        assert capsys.readouterr().err == f"error: {table}: no table entry for 'd'\n"
         assert not out.exists()
 
     def test_rerun_byte_identical(self, corpus_files):
@@ -176,7 +176,8 @@ class TestScore:
         argv = ["score", "--input", str(records), "--output", str(out),
                 "--scores", corpus_files["scores"]]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: no table entry for 'zz'\n"
+        table = corpus_files["scores"]
+        assert capsys.readouterr().err == f"error: {table}: no table entry for 'zz'\n"
         records.write_text(records.read_text().replace('"zz"', '"c"'))
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {records}:3: invalid JSON")
@@ -231,7 +232,8 @@ class TestScore:
                        "--format", "csv", "--scores", corpus_files["scores"]])
             gc.collect()
         assert rc == 1
-        assert capsys.readouterr().err == "error: no table entry for 'zz'\n"
+        table = corpus_files["scores"]
+        assert capsys.readouterr().err == f"error: {table}: no table entry for 'zz'\n"
         assert csv.field_size_limit() == limit
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not out.exists()
@@ -285,6 +287,20 @@ class TestCrawl:
         assert rc == 1
         assert capsys.readouterr().err == "error: qoracle requires a score table\n"
         assert not out.exists()
+
+    def test_qoracle_table_missing_a_reached_page_is_named(self, corpus_files, capsys):
+        table = corpus_files["dir"] / "partial.tsv"
+        table.write_text("a\t-1.0\nc\t-2.0\nd\t-0.25\ne\t-3.0\n")
+        out = corpus_files["dir"] / "x.tsv"
+        argv = ["crawl", "--input", corpus_files["corpus"], "--seeds", corpus_files["seeds"],
+                "--strategy", "qoracle", "--scores", str(table), "--budget", "10",
+                "--checkpoint-interval", "2", "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {table}: no quality score for 'b'\n"
+        assert not out.exists()
+        # a page that the crawl never discovers may be missing: crawling only a finds b and c
+        table.write_text("a\t-1.0\nb\t-0.5\nc\t-2.0\n")
+        assert main(argv[:-5] + ["1", "--checkpoint-interval", "1", "--output", str(out)]) == 0
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
     def test_given_scores_are_read_for_any_strategy(self, corpus_files, capsys, strategy):
@@ -493,15 +509,27 @@ class TestEval:
         assert self._eval(corpus_files, traces) == 0
         assert live_at_call and live_at_call[0] <= alive
 
-    def test_trace_error_comes_before_a_bad_alpha(self, corpus_files, capsys):
+    def test_bad_k_and_alpha_come_before_the_corpus_and_traces(
+        self, corpus_files, capsys, monkeypatch
+    ):
         trace = corpus_files["dir"] / "bad.tsv"
         trace.write_text("#checkpoints\t2\n1\ta\t-\n2\tzz\t-\n")
-        assert self._eval(corpus_files, {"bfs": trace}, "--alpha", "2") == 1
+        loads = []
+        load_corpus = corpus_module.load_corpus
+        monkeypatch.setattr(
+            corpus_module, "load_corpus", lambda *a: loads.append(a) or load_corpus(*a)
+        )
+        for flags, message in (
+            (["--k", "0", "--alpha", "2"], "--k must be >= 1"),
+            (["--alpha", "2"], "--alpha must be in (0, 1]"),
+            (["--alpha", "0"], "--alpha must be in (0, 1]"),
+        ):
+            assert self._eval(corpus_files, {"bfs": trace}, *flags) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == []
+        assert self._eval(corpus_files, {"bfs": trace}, "--k", "1") == 1
         assert capsys.readouterr().err == f"error: {trace}:3: doc_id 'zz' not in corpus\n"
-        self._crawl(corpus_files, "bfs", trace)
-        capsys.readouterr()
-        assert self._eval(corpus_files, {"bfs": trace}, "--alpha", "2") == 1
-        assert capsys.readouterr().err == "error: --alpha must be in (0, 1]\n"
+        assert len(loads) == 1
 
     def test_bad_alpha_comes_before_a_bad_queries_file(self, corpus_files, capsys):
         trace = corpus_files["dir"] / "bfs.tsv"

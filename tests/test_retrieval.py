@@ -2,6 +2,7 @@ import gc
 import math
 import re
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(_corpus({"d": "a"}), set())
 
+    def test_the_smallest_unknown_doc_id_is_named(self):
+        with pytest.raises(UnknownDoc, match="'ghost1'"):
+            build_index(_corpus({"d": "a"}), ["d", "ghost2", "ghost1"])
+
     def test_unknown_doc_id(self):
         with pytest.raises(UnknownDoc):
             build_index(_corpus({"d": "a"}), {"d", "ghost"})
@@ -193,6 +198,52 @@ class TestBM25:
         assert len(ranked) > 1
         for doc_id, score in ranked:
             assert score == bm25_from_scratch(texts, query, doc_id, reference_tokenize)
+
+
+class TestEvalIndexStates:
+    """Each index state that evaluate_recall scores sums every matched doc's BM25
+    weights to the score that the oracle gives over an index built from scratch on
+    the prefix, bit for bit, and each distinct state is scored once."""
+
+    def test_every_state_scores_like_the_oracle(self):
+        rng = np.random.default_rng(7)
+        words = list("abcdez")
+        texts = {f"d{i}": " ".join(rng.choice(words, rng.integers(1, 12))) for i in range(40)}
+        corpus, order = _corpus(texts), [f"d{i}" for i in rng.permutation(40)]
+        traces = {"bfs": _crawled(order[:30], [10, 20, 30]), "dfs": _crawled(order[10:], [10, 20, 30])}
+        queries = {"q1": "a b c", "q2": "e d c b", "q3": "c a e", "q4": "y", "q5": "a"}
+        qrels = {qid: {"d1": 1} for qid in queries}
+        blocks_of_states = []
+        sums, found_counts = retrieval._sums, retrieval._found_counts
+
+        def counting(*args):
+            blocks_of_states.append([])
+            return found_counts(*args)
+
+        def summing(*args):
+            keys, scores = sums(*args)
+            blocks_of_states[-1].append((keys.tolist(), scores.tolist()))
+            return keys, scores
+
+        with mock.patch.multiple(retrieval, _sums=summing, _found_counts=counting):
+            retrieval.evaluate_recall(corpus, traces, queries, qrels, 5)
+        # keys are query row * n + doc, both numbered in order: eval's query ids and pages
+        qids, pages = sorted(queries), sorted(set(order[:30] + order[10:]))
+        prefixes = {frozenset(t.doc_ids()[:c]): None for t in traces.values() for c in (10, 20, 30)}
+        assert len(blocks_of_states) == len(prefixes)
+        for prefix, blocks in zip(prefixes, blocks_of_states):
+            index = reference_build_index(corpus, prefix)
+            got = {
+                (qids[key // len(pages)], pages[key % len(pages)]): score
+                for keys, scores in blocks
+                for key, score in zip(keys, scores)
+            }
+            expected = {
+                (qid, doc_id): score
+                for qid, text in queries.items()
+                for doc_id, score in reference_search_topk(index, text.split(), len(prefix))
+            }
+            assert got == expected
 
 
 class TestSearchTopK:
@@ -404,6 +455,47 @@ class TestRecallAtTheCut:
             expected.recall_rows
         )
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        n_pages=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=4), max_size=12),
+        k=st.sampled_from([1, 3, 100]),
+        block=st.sampled_from([1, 5, retrieval.BLOCK]),
+    )
+    def test_strategies_and_blocks_rows_equal_the_oracle(self, n_pages, seed, queries, k, block):
+        # "same" crawls each checkpoint segment of "base" in another order, so both hold the
+        # same pages at every checkpoint and each such state is scored once; "other" crawls
+        # its own pages, some of which no other strategy reaches
+        rng = np.random.default_rng(seed)
+        corpus = _corpus(_tie_heavy_texts(rng, n_pages))
+        order = [f"d{i}" for i in rng.permutation(n_pages)]
+        crawled = order[: rng.integers(1, n_pages + 1)]
+        segments = _segments(crawled, (rng.random(len(crawled)) < 0.3).tolist())
+        checkpoints = list(accumulate(map(len, segments)))
+        shuffled = [d for segment in segments for d in rng.permutation(segment).tolist()]
+        other = [f"d{i}" for i in rng.permutation(n_pages)][: len(crawled)]
+        traces = {
+            name: _crawled(pages, checkpoints)
+            for name, pages in (("base", crawled), ("same", shuffled), ("other", other))
+        }
+        # the qrels: random pages, a page only "other" crawls, and an id that is no page;
+        # "y" is on no page, so the last query matches none
+        query_texts = {f"q{i}": " ".join(terms) for i, terms in enumerate(queries + [["y"]])}
+        only_other = sorted(set(other) - set(crawled))[:1]
+        qrels = {
+            qid: dict.fromkeys([d for d in order if rng.random() < 0.3] + only_other, 1)
+            | {"nowhere": 1}
+            for qid in query_texts
+        }
+        expected = reference_evaluate_checkpoints(corpus, traces, query_texts, qrels, k)
+        found_counts = mock.Mock(wraps=retrieval._found_counts)
+        with mock.patch.multiple(retrieval, BLOCK=block, _found_counts=found_counts):
+            rows = retrieval.evaluate_recall(corpus, traces, query_texts, qrels, k)
+        assert repr(rows) == repr(expected.recall_rows)  # float reprs round-trip: bit for bit
+        states = {frozenset(pages[:c]) for pages in (crawled, other) for c in checkpoints}
+        assert found_counts.call_count == len(states)
+
     # d1, d2 and d3 tie on "a"; d1 enters last, so it is numbered after d2 and d3.
     # d4 is posted for "b" before any page holds "a"; d5 outscores the ties on "a".
     TEXTS = {"d1": "a z", "d2": "a z", "d3": "a z", "d4": "b z", "d5": "a a"}
@@ -434,7 +526,8 @@ class TestRecallAtTheCut:
         texts = {f"d{i}": "a" for i in range(500)}
         texts["long"] = "a " + "z " * 5000
         index = build_index(_corpus(texts), texts)
-        weights = retrieval._weigh_postings(index)[3]
+        search_topk(index, ["a"], 1)
+        weights = index._ranking[2][1]
         assert len(weights) == 502 and (weights > 0).all()
 
 
