@@ -411,7 +411,8 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
                 raise ValueError("every document in the index has zero tokens")
             key = np.packbits(member).tobytes()  # n/8 bytes
             if key not in done:
-                keep = member[np.frombuffer(postings[0], np.int32)]  # views die unnamed
+                # unnamed views: a column still exported to numpy could not grow
+                keep = member[np.frombuffer(postings[0], np.int32)]
                 columns = (np.frombuffer(column, np.int32)[keep] for column in postings)
                 state = _weigh(*columns, np.array(lengths, np.float64), len(vocabulary),
                                checkpoint, total / checkpoint)
