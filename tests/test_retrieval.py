@@ -210,7 +210,8 @@ class TestEvalIndexStates:
         words = list("abcdez")
         texts = {f"d{i}": " ".join(rng.choice(words, rng.integers(1, 12))) for i in range(40)}
         corpus, order = _corpus(texts), [f"d{i}" for i in rng.permutation(40)]
-        traces = {"bfs": _crawled(order[:30], [10, 20, 30]), "dfs": _crawled(order[10:], [10, 20, 30])}
+        traces = {name: _crawled(pages, [10, 20, 30]) for name, pages in
+                  (("bfs", order[:30]), ("dfs", order[10:]))}
         queries = {"q1": "a b c", "q2": "e d c b", "q3": "c a e", "q4": "y", "q5": "a"}
         qrels = {qid: {"d1": 1} for qid in queries}
         blocks_of_states = []
@@ -496,7 +497,7 @@ class TestRecallAtTheCut:
         states = {frozenset(pages[:c]) for pages in (crawled, other) for c in checkpoints}
         assert found_counts.call_count == len(states)
 
-    # d1, d2 and d3 tie on "a"; d1 enters last, so it is numbered after d2 and d3.
+    # d1, d2 and d3 tie on "a"; d1 enters last, so a tie goes to it by doc_id, not by entry.
     # d4 is posted for "b" before any page holds "a"; d5 outscores the ties on "a".
     TEXTS = {"d1": "a z", "d2": "a z", "d3": "a z", "d4": "b z", "d5": "a a"}
 
