@@ -241,7 +241,8 @@ def cmd_stats(args) -> dict:
 
     if args.input:
         graph, _ = corpus.load_graph(args.input, args.format, args.edges)
-        report, points = analytics.correlation_study(graph, first_table)
+        with _naming(args.scores[0]):
+            report, points = analytics.correlation_study(graph, first_table)
         outputs["correlation.json"] = _json_text(
             {
                 "table": first_label,

@@ -19,7 +19,6 @@ are freed, numpy loaded first and garbage collected, before scipy loads.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -57,8 +56,6 @@ class InvertedIndex:
     doc_lengths: dict[str, int] = field(default_factory=dict)
     doc_count: int = 0
     avgdl: float = 0.0
-    # ranking arrays of this index state, made by the first search after a build_index step
-    _ranking: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _term_counts(
@@ -73,22 +70,15 @@ def _term_counts(
     return len(tokens), Counter(counted)
 
 
-def build_index(
-    corpus: dict[str, DocumentRecord], doc_ids, index=None, term_counts=None
-) -> InvertedIndex:
-    """Add exactly the given doc_ids, in sorted order, to ``index`` (a new one
-    without it), then set N and avgdl. ``term_counts(doc_id)`` gives a page's
-    (length, tf); by default every term is posted. A zero-token doc counts in N."""
+def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
+    """A new index of exactly the given doc_ids, added in sorted order with
+    every term posted, then N and avgdl. A zero-token doc counts in N."""
     ids = sorted(doc_ids)
     if not ids:
         raise ValueError("cannot build an index over an empty doc_id set")
-    index = InvertedIndex() if index is None else index
-    index._ranking = None  # N, avgdl and postings change, even if this step fails
-    if term_counts is None:
-        term_counts = functools.partial(_term_counts, corpus)
+    index = InvertedIndex()
     for doc_id in ids:
-        length, tf = term_counts(doc_id)
-        index.doc_lengths[doc_id] = length
+        index.doc_lengths[doc_id], tf = _term_counts(corpus, doc_id)
         for term, count in tf.items():
             index.postings.setdefault(term, {})[doc_id] = count
     total_tokens = sum(index.doc_lengths.values())
@@ -141,18 +131,15 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    if index._ranking is None:  # number docs in doc_id order, terms in index order
-        doc_ids = sorted(index.doc_lengths)
-        number = dict(zip(doc_ids, count()))
-        lists = index.postings.values()
-        docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp)
-        tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.intp)
-        terms = np.repeat(np.arange(len(lists)), list(map(len, lists)))
-        lengths = np.array([index.doc_lengths[d] for d in doc_ids], np.float64)
-        state = _weigh(docs, terms, tf, lengths, len(lists), index.doc_count, index.avgdl)
-        index._ranking = doc_ids, dict(zip(index.postings, count())), state
-    doc_ids, term_ids, state = index._ranking
-    hits = np.array([term_ids[t] for t in dict.fromkeys(query_terms) if t in term_ids], np.intp)
+    lists = [index.postings[t] for t in dict.fromkeys(query_terms) if t in index.postings]
+    doc_ids = sorted(set().union(*lists))  # only the matched docs, numbered in doc_id order
+    number = dict(zip(doc_ids, count()))
+    hits = np.arange(len(lists))  # the query's terms, numbered in query-term order
+    docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp)
+    tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.intp)
+    terms = np.repeat(hits, list(map(len, lists)))
+    lengths = np.array([index.doc_lengths[d] for d in doc_ids], np.float64)
+    state = _weigh(docs, terms, tf, lengths, len(lists), index.doc_count, index.avgdl)
     keys, scores = _sums(0 * hits, hits, state, 0)
     top = np.argsort(-scores, kind="stable")[:k]  # ties keep the keys' doc_id order
     return list(zip(map(doc_ids.__getitem__, keys[top].tolist()), scores[top].tolist()))

@@ -1,14 +1,19 @@
 import json
 
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, Verbosity, settings
 
 from qcrawl import build_corpus
 
 # tests/mutants.py runs each mutant with --hypothesis-profile=verdict: a failing example
-# there needs a verdict, so this profile neither shrinks nor explains it. Every other
-# run keeps the default profile, which does both.
-settings.register_profile("verdict", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+# there needs a verdict, so this profile neither shrinks nor explains it, and stays quiet,
+# so Hypothesis writes no failing-example patch. Every other run keeps the default
+# profile, which does all three.
+settings.register_profile(
+    "verdict",
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    verbosity=Verbosity.quiet,
+)
 
 
 @pytest.fixture

@@ -99,8 +99,7 @@ MUTANTS = [
         "return len(tokens), Counter(counted)",
         "return max(len(tokens), 1), Counter(counted)",
     ),
-    # the weights of an index state, made once, and their sum in query-term order
-    (RETRIEVAL, "    index._ranking = None", "    pass"),
+    # the weights of an index state and their sum in query-term order
     (RETRIEVAL, "for df in dfs.tolist()]", "for df in reversed(dfs.tolist())]"),
     (
         RETRIEVAL,
@@ -114,7 +113,11 @@ MUTANTS = [
     ),
     # docs numbered in doc_id order, so ties go to the smaller doc_id, in search_topk and
     # in eval's recall count
-    (RETRIEVAL, "doc_ids = sorted(index.doc_lengths)", "doc_ids = list(index.doc_lengths)"),
+    (
+        RETRIEVAL,
+        "doc_ids = sorted(set().union(*lists))",
+        "doc_ids = sorted(set().union(*lists), reverse=True)",
+    ),
     (RETRIEVAL, "reached = sorted({d for t", "reached = list({d for t"),
     # the recall count: the tie test, the strict score test, the s_r > 0 guard, the
     # rows of a query that matches more than k docs, each block's own rows, and the
@@ -140,8 +143,10 @@ MUTANTS = [
         'raise ValueError("no query has judged-relevant documents")\n    if k < 1:',
         'raise ValueError("no query has judged-relevant documents")\n    if False:',
     ),
-    # a missing-score error names its table; eval's k is checked before the corpus loads
+    # a missing-score error names its table, in stats too; eval's k is checked before
+    # the corpus loads
     (CLI, 'MissingScore(f"{table}: {exc}") if table else exc', "exc"),
+    (CLI, "        with _naming(args.scores[0]):\n", "        if True:\n"),
     (CLI, "    if args.k < 1:\n", "    if False:\n"),
     # the qoracle frontier key without its discovery order
     (

@@ -635,7 +635,18 @@ class TestStats:
              "--qrels", corpus_files["qrels"], "--output", str(out)]
         )
         assert rc == 1
-        assert capsys.readouterr().err == "error: no quality score for 'a'\n"
+        assert capsys.readouterr().err == f"error: {table}: no quality score for 'a'\n"
+        assert not out.exists()
+
+    def test_table_missing_a_leaf_target_is_named(self, corpus_files, capsys):
+        # e has no outlinks, so only c's outlink mean reads its score
+        table = corpus_files["dir"] / "no_leaf.tsv"
+        table.write_text("a\t-1.0\nb\t-0.5\nc\t-2.0\nd\t-0.25\n")
+        out = corpus_files["dir"] / "stats7"
+        rc = main(["stats", "--scores", str(table), "--input", corpus_files["corpus"],
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {table}: no quality score for outlink 'e'\n"
         assert not out.exists()
 
     def test_overflowing_outlink_mean_fails(self, tmp_path, jsonl_writer, capsys):

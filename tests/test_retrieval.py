@@ -1,4 +1,3 @@
-import gc
 import math
 import re
 from itertools import accumulate
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from qcrawl import (
     CorpusFormatError,
     CrawlTrace,
-    InvertedIndex,
     QCrawlError,
     SkippedQuery,
     UnknownDoc,
@@ -43,7 +41,7 @@ from oracles import (
 
 
 def _segments(order, cuts):
-    """Split ``order`` into growth steps, a new one where ``cuts`` is true."""
+    """Split ``order`` into segments, a new one where ``cuts`` is true."""
     segments = []
     for doc_id, cut in zip(order, cuts):
         if cut or not segments:
@@ -122,6 +120,7 @@ class TestBuildIndex:
         assert index.doc_count == 2
         assert index.doc_lengths["d2"] == 0
         assert index.avgdl == 1.0
+        assert search_topk(index, ["a"], 10) == reference_search_topk(index, ["a"], 10)
 
     def test_empty_doc_ids_error(self):
         with pytest.raises(ValueError):
@@ -134,6 +133,13 @@ class TestBuildIndex:
     def test_unknown_doc_id(self):
         with pytest.raises(UnknownDoc):
             build_index(_corpus({"d": "a"}), {"d", "ghost"})
+
+    def test_every_doc_with_zero_tokens_error(self):
+        corpus = _corpus({"d1": "", "d2": "-- !!"})
+        with pytest.raises(ValueError, match=r"^every document in the index has zero tokens$"):
+            build_index(corpus, {"d1", "d2"})
+        with pytest.raises(UnknownDoc, match="'ghost'"):  # an unknown doc_id is named first
+            build_index(corpus, {"d1", "d2", "ghost"})
 
 
 class TestBM25:
@@ -200,6 +206,12 @@ class TestBM25:
             assert score == bm25_from_scratch(texts, query, doc_id, reference_tokenize)
 
 
+def _crawled(order, checkpoints):
+    """A trace that crawled ``order`` with the given checkpoint ranks."""
+    entries = [(rank, doc_id, None) for rank, doc_id in enumerate(order, start=1)]
+    return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
+
+
 class TestEvalIndexStates:
     """Each index state that evaluate_recall scores sums every matched doc's BM25
     weights to the score that the oracle gives over an index built from scratch on
@@ -245,174 +257,6 @@ class TestEvalIndexStates:
                 for doc_id, score in reference_search_topk(index, text.split(), len(prefix))
             }
             assert got == expected
-
-
-class TestSearchTopK:
-    def test_no_match_empty(self):
-        index = build_index(_corpus({"d": "a"}), {"d"})
-        assert search_topk(index, ["zzz"], 10) == []
-
-    def test_tie_broken_by_doc_id(self):
-        index = build_index(_corpus({"d2": "a", "d1": "a"}), {"d1", "d2"})
-        ranked = search_topk(index, ["a"], 10)
-        assert [d for d, _ in ranked] == ["d1", "d2"]
-        assert ranked[0][1] == ranked[1][1]
-
-    def test_k_truncates(self):
-        texts = {f"d{i}": "a" for i in range(5)}
-        index = build_index(_corpus(texts), set(texts))
-        assert len(search_topk(index, ["a"], 3)) == 3
-        assert len(search_topk(index, ["a"], 99)) == 5
-
-    def test_k_below_one(self):
-        index = build_index(_corpus({"d": "a"}), {"d"})
-        with pytest.raises(ValueError):
-            search_topk(index, ["a"], 0)
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        pool=st.lists(
-            st.lists(st.sampled_from("abc-"), max_size=6).map(" ".join), min_size=1, max_size=4
-        ),
-        data=st.data(),
-    )
-    def test_growing_index_ranks_like_rebuild(self, pool, data):
-        # few distinct texts over many pages, so equal scores straddle k = 1 and 3
-        texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-        corpus = _corpus({f"d{i}": text for i, text in enumerate(texts)})
-        ids = data.draw(st.permutations(sorted(corpus)))
-        cuts = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
-        query = st.lists(st.sampled_from("abcz"), min_size=1, max_size=5)
-        queries = data.draw(st.lists(query, min_size=1, max_size=3))
-
-        def assert_ranks_like_rebuild(index, prefix):
-            rebuilt = reference_build_index(corpus, prefix)
-            for terms in queries:
-                for k in (1, 3, 100):
-                    assert search_topk(index, terms, k) == reference_search_topk(rebuilt, terms, k)
-
-        index, prefix = None, []
-        for segment in _segments(ids, cuts):
-            if index is not None:
-                assert_ranks_like_rebuild(index, prefix)  # cached weights, before the growth
-            prefix += segment
-            try:
-                reference_build_index(corpus, prefix)
-            except ValueError as exc:  # every page so far has zero tokens
-                with pytest.raises(ValueError, match=str(exc)):
-                    build_index(corpus, segment, index)
-                return
-            index = build_index(corpus, segment, index)
-            assert_ranks_like_rebuild(index, prefix)
-
-    def test_search_after_growth_sees_new_collection(self):
-        corpus, query = _corpus({"d1": "a b", "d2": "a a c", "d3": "b"}), ["a", "b", "a"]
-        index = build_index(corpus, ["d1"])
-        before = search_topk(index, query, 10)
-        assert before == reference_search_topk(reference_build_index(corpus, ["d1"]), query, 10)
-        build_index(corpus, ["d3", "d2"], index)
-        assert (index.doc_count, index.avgdl) == (3, 2.0)
-        after = search_topk(index, query, 10)
-        assert after == reference_search_topk(reference_build_index(corpus, corpus), query, 10)
-        assert [d for d, _ in after] == ["d1", "d3", "d2"]
-        assert after[0][1] != before[0][1]
-
-
-def _grown(corpus, order, cuts):
-    """Grow one index by a build_index step per segment; yield it after each."""
-    index = None
-    for segment in _segments(order, cuts):
-        index = build_index(corpus, segment, index)
-        yield index
-
-
-def _assert_ranks_like_oracle(index, queries):
-    for terms in queries:
-        for k in (1, 3, 100):
-            got, expected = search_topk(index, terms, k), reference_search_topk(index, terms, k)
-            assert [d for d, _ in got] == [d for d, _ in expected]
-            assert [s.hex() for _, s in got] == [s.hex() for _, s in expected]  # bit-equal
-
-
-class TestRankingMatchesOracle:
-    """search_topk ranks a grown index as the per-query oracle does, scores bit-equal.
-    Growth steps enter pages out of doc_id order, so the order in which search_topk
-    numbers the posted docs is not doc_id order. A failure is reported unshrunk:
-    shrinking examples this large takes minutes."""
-
-    NO_SHRINK = (Phase.explicit, Phase.generate)
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
-    @given(
-        n_pages=st.integers(1, 160),
-        seed=st.integers(0, 2**32 - 1),
-        queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=5), min_size=1),
-    )
-    def test_tie_heavy(self, n_pages, seed, queries):
-        rng = np.random.default_rng(seed)
-        texts = _tie_heavy_texts(rng, n_pages)
-        order = [f"d{i}" for i in rng.permutation(n_pages)]
-        cuts = (rng.random(n_pages) < 0.2).tolist()
-        for index in _grown(_corpus(texts), order, cuts):
-            _assert_ranks_like_oracle(index, queries)
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
-    @given(
-        postings=st.lists(
-            st.dictionaries(st.integers(0, 39), st.integers(1, 3), min_size=1, max_size=10),
-            min_size=1,
-            max_size=12,
-        ),
-        data=st.data(),
-    )
-    def test_short_postings(self, postings, data):
-        # term j is posted on 1-10 of 40 pages: searches touch a few postings each
-        words = {}
-        for j, posting in enumerate(postings):
-            for page, tf in posting.items():
-                words.setdefault(f"p{page}", []).extend([f"t{j}"] * tf)
-        corpus = _corpus({doc_id: " ".join(terms) for doc_id, terms in words.items()})
-        order = data.draw(st.permutations(sorted(corpus)))
-        cuts = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
-        vocab = [f"t{j}" for j in range(len(postings) + 1)]
-        query = st.lists(st.sampled_from(vocab), min_size=1, max_size=4)
-        queries = data.draw(st.lists(query, min_size=1, max_size=4))
-        for index in _grown(corpus, order, cuts):
-            _assert_ranks_like_oracle(index, queries)
-
-
-class TestRecall:
-    QRELS = {"q1": {"r1": 1, "r2": 2, "skip": 0}}
-
-    def test_full_recall(self):
-        ranked = [("r1", 2.0), ("r2", 1.0)]
-        assert recall_at_k(ranked, self.QRELS, "q1", 10) == 1.0
-
-    def test_zero_recall(self):
-        assert recall_at_k([("x", 1.0)], self.QRELS, "q1", 10) == 0.0
-
-    def test_half_recall(self):
-        assert recall_at_k([("r1", 1.0)], self.QRELS, "q1", 10) == 0.5
-
-    def test_denominator_counts_uncrawled_relevant(self):
-        # only r1 was retrievable, r2 never crawled: still divides by 2
-        assert recall_at_k([("r1", 1.0), ("x", 0.5)], self.QRELS, "q1", 10) == 0.5
-
-    def test_skipped_query(self):
-        with pytest.raises(SkippedQuery):
-            recall_at_k([("r1", 1.0)], {"q1": {"r1": 0}}, "q1", 10)
-
-    def test_monotone_in_k(self):
-        ranked = [(f"d{i}", 10.0 - i) for i in range(10)]
-        qrels = {"q": {"d2": 1, "d5": 1, "d9": 1, "elsewhere": 1}}
-        values = [recall_at_k(ranked, qrels, "q", k) for k in range(1, 12)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def _crawled(order, checkpoints):
-    """A trace that crawled ``order`` with the given checkpoint ranks."""
-    entries = [(rank, doc_id, None) for rank, doc_id in enumerate(order, start=1)]
-    return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
 
 
 class TestRecallAtTheCut:
@@ -527,9 +371,124 @@ class TestRecallAtTheCut:
         texts = {f"d{i}": "a" for i in range(500)}
         texts["long"] = "a " + "z " * 5000
         index = build_index(_corpus(texts), texts)
-        search_topk(index, ["a"], 1)
-        weights = index._ranking[2][1]
-        assert len(weights) == 502 and (weights > 0).all()
+        weights = [s for term in index.postings for _, s in search_topk(index, [term], 600)]
+        assert len(weights) == 502 and min(weights) > 0
+
+
+class TestSearchTopK:
+    def test_no_match_empty(self):
+        index = build_index(_corpus({"d": "a"}), {"d"})
+        assert search_topk(index, ["zzz"], 10) == []
+
+    def test_tie_broken_by_doc_id(self):
+        index = build_index(_corpus({"d2": "a", "d1": "a"}), {"d1", "d2"})
+        ranked = search_topk(index, ["a"], 10)
+        assert [d for d, _ in ranked] == ["d1", "d2"]
+        assert ranked[0][1] == ranked[1][1]
+
+    def test_k_truncates(self):
+        texts = {f"d{i}": "a" for i in range(5)}
+        index = build_index(_corpus(texts), set(texts))
+        assert len(search_topk(index, ["a"], 3)) == 3
+        assert len(search_topk(index, ["a"], 99)) == 5
+
+    def test_k_below_one(self):
+        index = build_index(_corpus({"d": "a"}), {"d"})
+        with pytest.raises(ValueError):
+            search_topk(index, ["a"], 0)
+
+
+def _prefix_indexes(corpus, order, cuts):
+    """An index built from scratch over each prefix of ``order`` that ends a segment."""
+    prefix = []
+    for segment in _segments(order, cuts):
+        prefix += segment
+        index = build_index(corpus, prefix)
+        assert index == reference_build_index(corpus, prefix)
+        yield index
+
+
+def _assert_ranks_like_oracle(index, queries):
+    for terms in queries:
+        for k in (1, 3, 100):
+            got, expected = search_topk(index, terms, k), reference_search_topk(index, terms, k)
+            assert [d for d, _ in got] == [d for d, _ in expected]
+            assert [s.hex() for _, s in got] == [s.hex() for _, s in expected]  # bit-equal
+
+
+class TestRankingMatchesOracle:
+    """search_topk ranks an index as the per-query oracle does, scores bit-equal. The
+    indexes hold the prefixes of a random crawl order, and search_topk numbers only the
+    docs that a query matches. A failure is reported unshrunk: shrinking examples this
+    large takes minutes."""
+
+    NO_SHRINK = (Phase.explicit, Phase.generate)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        n_pages=st.integers(1, 160),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(st.lists(st.sampled_from("abcdy"), min_size=1, max_size=5), min_size=1),
+    )
+    def test_tie_heavy(self, n_pages, seed, queries):
+        rng = np.random.default_rng(seed)
+        texts = _tie_heavy_texts(rng, n_pages)
+        order = [f"d{i}" for i in rng.permutation(n_pages)]
+        cuts = (rng.random(n_pages) < 0.2).tolist()
+        for index in _prefix_indexes(_corpus(texts), order, cuts):
+            _assert_ranks_like_oracle(index, queries)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
+    @given(
+        postings=st.lists(
+            st.dictionaries(st.integers(0, 39), st.integers(1, 3), min_size=1, max_size=10),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_short_postings(self, postings, data):
+        # term j is posted on 1-10 of 40 pages: searches touch a few postings each
+        words = {}
+        for j, posting in enumerate(postings):
+            for page, tf in posting.items():
+                words.setdefault(f"p{page}", []).extend([f"t{j}"] * tf)
+        corpus = _corpus({doc_id: " ".join(terms) for doc_id, terms in words.items()})
+        order = data.draw(st.permutations(sorted(corpus)))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+        vocab = [f"t{j}" for j in range(len(postings) + 1)]
+        query = st.lists(st.sampled_from(vocab), min_size=1, max_size=4)
+        queries = data.draw(st.lists(query, min_size=1, max_size=4))
+        for index in _prefix_indexes(corpus, order, cuts):
+            _assert_ranks_like_oracle(index, queries)
+
+
+class TestRecall:
+    QRELS = {"q1": {"r1": 1, "r2": 2, "skip": 0}}
+
+    def test_full_recall(self):
+        ranked = [("r1", 2.0), ("r2", 1.0)]
+        assert recall_at_k(ranked, self.QRELS, "q1", 10) == 1.0
+
+    def test_zero_recall(self):
+        assert recall_at_k([("x", 1.0)], self.QRELS, "q1", 10) == 0.0
+
+    def test_half_recall(self):
+        assert recall_at_k([("r1", 1.0)], self.QRELS, "q1", 10) == 0.5
+
+    def test_denominator_counts_uncrawled_relevant(self):
+        # only r1 was retrievable, r2 never crawled: still divides by 2
+        assert recall_at_k([("r1", 1.0), ("x", 0.5)], self.QRELS, "q1", 10) == 0.5
+
+    def test_skipped_query(self):
+        with pytest.raises(SkippedQuery):
+            recall_at_k([("r1", 1.0)], {"q1": {"r1": 0}}, "q1", 10)
+
+    def test_monotone_in_k(self):
+        ranked = [(f"d{i}", 10.0 - i) for i in range(10)]
+        qrels = {"q": {"d2": 1, "d5": 1, "d9": 1, "elsewhere": 1}}
+        values = [recall_at_k(ranked, qrels, "q", k) for k in range(1, 12)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestTTest:
@@ -687,71 +646,12 @@ class TestEvaluateCheckpoints:
         assert sum(o["type"] == "recall" for o in objs) == 3 * n_checkpoints
         assert sum(o["type"] == "significance" for o in objs) == 3 * n_checkpoints
 
-    def test_index_is_freed_before_the_t_tests(self, monkeypatch):
-        # the recall phase returns only rows and scores, so scipy loads into freed memory
-        corpus, traces, queries, qrels = self._setup()
-        t_test, calls = retrieval.paired_t_test_bonferroni, []
-
-        def indexes():
-            return {id(o) for o in gc.get_objects() if isinstance(o, InvertedIndex)}
-
-        alive = indexes()  # held by earlier tests, if any
-
-        def checked(*args, **kwargs):
-            if not calls:
-                assert indexes() <= alive
-            calls.append(1)
-            return t_test(*args, **kwargs)
-
-        monkeypatch.setattr(retrieval, "paired_t_test_bonferroni", checked)
-        report = evaluate_checkpoints(corpus, traces, queries, qrels, k=100)
-        assert calls and report.significance_rows
-
     def test_duplicate_doc_id_in_trace(self):
         corpus, traces, queries, qrels = self._setup()
         entries = traces["bfs"].entries[:4]
         doubled = CrawlTrace(entries=entries + [(5, entries[1][1], None)], checkpoint_ranks=[5])
         with pytest.raises(ValueError, match="twice"):
             evaluate_checkpoints(corpus, {"bfs": doubled}, queries, qrels, k=100)
-
-
-def _assert_growth_matches_rebuild(corpus, segments):
-    """Grow one index by a build_index step per segment. After each step it
-    equals the index built from scratch over the union so far, or both fail
-    alike at that segment."""
-    index, union = None, []
-    for segment in segments:
-        union += segment
-        try:
-            expected = reference_build_index(corpus, union)
-        except (QCrawlError, ValueError) as exc:
-            expected = (type(exc), str(exc))
-        try:
-            index = build_index(corpus, segment, index)
-        except (QCrawlError, ValueError) as exc:
-            assert (type(exc), str(exc)) == expected
-            return
-        assert index == expected
-
-
-class TestGrowthStep:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        texts=st.lists(st.text(alphabet="ab -", max_size=6), min_size=1, max_size=10),
-        data=st.data(),
-    )
-    def test_grown_index_equals_rebuild(self, texts, data):
-        corpus = _corpus({f"d{i}": text for i, text in enumerate(texts)})
-        ids = data.draw(st.lists(st.sampled_from([*corpus, "ghost"]), min_size=1, unique=True))
-        cuts = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
-        _assert_growth_matches_rebuild(corpus, _segments(ids, cuts))
-
-    def test_term_counts_decides_postings(self):
-        corpus = _corpus({"d1": "a b", "d2": "b c c"})
-        index = build_index(corpus, ["d2", "d1"], term_counts=lambda d: (5, {"z": 1}))
-        assert index.postings == {"z": {"d1": 1, "d2": 1}}
-        assert index.doc_lengths == {"d1": 5, "d2": 5}
-        assert (index.doc_count, index.avgdl) == (2, 5.0)
 
 
 def _two_steps(corpus, traces, queries, qrels, k=100, alpha=0.01):
@@ -770,8 +670,8 @@ def _outcome(evaluate, *args, **kwargs):
 
 
 class TestIncrementalMatchesRebuild:
-    """evaluate_checkpoints grows one index along each trace; the oracle
-    rebuilds one per (strategy, checkpoint). Reports must be byte-equal."""
+    """evaluate_checkpoints grows postings arrays along each trace; the oracle
+    rebuilds an index per (strategy, checkpoint). Reports must be byte-equal."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -815,14 +715,6 @@ class TestIncrementalMatchesRebuild:
             expected = _outcome(reference_evaluate_checkpoints, *args, k=k)
             assert _outcome(evaluate_checkpoints, *args, k=k) == expected
             assert _outcome(_two_steps, *args, k=k) == expected
-
-        # Recall hides score changes that keep the top k; compare the grown indexes
-        for trace in traces.values():
-            ranks = trace.checkpoint_ranks
-            doc_ids = [d for _, d, _ in trace.entries]
-            _assert_growth_matches_rebuild(
-                corpus, [doc_ids[start:end] for start, end in zip([0] + ranks, ranks)]
-            )
 
     def _hand_case(self, texts, order, checkpoints):
         corpus = _corpus(texts)
