@@ -243,15 +243,7 @@ def cmd_stats(args) -> dict:
         graph, _ = corpus.load_graph(args.input, args.format, args.edges)
         with _naming(args.scores[0]):
             report, points = analytics.correlation_study(graph, first_table)
-        outputs["correlation.json"] = _json_text(
-            {
-                "table": first_label,
-                "pearson_r": report.pearson_r,
-                "ols_slope": report.ols_slope,
-                "ols_intercept": report.ols_intercept,
-                "n": report.n,
-            }
-        )
+        outputs["correlation.json"] = _json_text({"table": first_label, **vars(report)})
         grid = analytics.hexbin(points, args.gridsize, args.min_count)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -285,11 +285,8 @@ def build_graph(rows, edges=None) -> tuple[WebGraph, LoadStats]:
         doc_id = row["doc_id"]
         if doc_id in adjacency:
             raise CorpusFormatError(f"duplicate doc_id: {doc_id!r}")
-        raw = row.get("outlinks", ()) if edges is None else ()
-        raw = raw if isinstance(raw, (list, tuple)) else list(raw)  # an iterator reads once
-        adjacency[doc_id] = links = list(dict.fromkeys(raw))  # first occurrence kept, in order
-        edges_loaded += len(raw)
-        duplicates += len(raw) - len(links)
+        adjacency[doc_id] = links = [*row.get("outlinks", ())] if edges is None else []
+        edges_loaded += len(links)
 
     # An edge list replaces the records' outlinks; an unknown source dangles.
     if edges is not None:
@@ -299,7 +296,7 @@ def build_graph(rows, edges=None) -> tuple[WebGraph, LoadStats]:
 
     in_corpus = adjacency.__contains__
     for doc_id, links in adjacency.items():
-        deduped = links if edges is None else dict.fromkeys(links)
+        deduped = dict.fromkeys(links)  # first occurrence kept, in order
         duplicates += len(links) - len(deduped)
         adjacency[doc_id] = list(filter(in_corpus, deduped))
     graph = WebGraph(adjacency)

@@ -6,13 +6,13 @@ which keeps idf strictly positive for every indexed term. Recall@k counts
 all judged-relevant documents in the denominator, crawled or not, so the
 metric measures crawl coverage rather than pure ranking quality.
 
-Checkpoint evaluation numbers every page a trace reaches in doc_id order and
-tokenises each once, keeping its query-term postings in arrays. Each index
-state (a strategy's prefix at a checkpoint) is weighed in one pass, from the
-integer counts a full index would hold, and its queries are scored in blocks,
-each doc's weights summed in query-term order. A relevant doc counts iff its
-score is > 0 and fewer than k docs rank before it: a higher score, or the same
-score and a smaller number, that is doc_id. A state that recurs is scored once.
+Checkpoint evaluation tokenises every page a trace reaches once, before the first
+index state, in doc_id order. Each index state (a strategy's prefix at a checkpoint)
+fails as a full index build would, and is weighed in one pass from the counts such
+an index holds; its queries are scored in blocks, each doc's weights summed in
+query-term order. A relevant doc counts iff its score is > 0 and fewer than k docs
+rank before it: a higher score, or the same score and a smaller number, that is
+doc_id. A state that recurs is scored once.
 Only the recall rows reach the t-tests: in ``qcrawl eval`` the pages and traces
 are freed, numpy loaded first and garbage collected, before scipy loads.
 """
@@ -58,18 +58,6 @@ class InvertedIndex:
     avgdl: float = 0.0
 
 
-def _term_counts(
-    corpus: dict[str, DocumentRecord], doc_id: str, vocabulary: dict[str, int] | None = None
-) -> tuple[int, dict[str, int]]:
-    """Token count and term frequencies of one corpus document; only the
-    terms in ``vocabulary`` are counted when it is given."""
-    if doc_id not in corpus:
-        raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
-    tokens = tokenize(corpus[doc_id].text)
-    counted = tokens if vocabulary is None else filter(vocabulary.__contains__, tokens)
-    return len(tokens), Counter(counted)
-
-
 def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
     """A new index of exactly the given doc_ids, added in sorted order with
     every term posted, then N and avgdl. A zero-token doc counts in N."""
@@ -78,8 +66,11 @@ def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
         raise ValueError("cannot build an index over an empty doc_id set")
     index = InvertedIndex()
     for doc_id in ids:
-        index.doc_lengths[doc_id], tf = _term_counts(corpus, doc_id)
-        for term, count in tf.items():
+        if doc_id not in corpus:
+            raise UnknownDoc(f"doc_id not in corpus: {doc_id!r}")
+        tokens = tokenize(corpus[doc_id].text)
+        index.doc_lengths[doc_id] = len(tokens)
+        for term, count in Counter(tokens).items():
             index.postings.setdefault(term, {})[doc_id] = count
     total_tokens = sum(index.doc_lengths.values())
     if total_tokens == 0:
@@ -234,9 +225,7 @@ def t_p_value(t_stat: float, df: int) -> float:
 
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    if math.isinf(t_stat):
-        return 0.0
-    x = df / (df + t_stat * t_stat)
+    x = df / (df + t_stat * t_stat)  # 0.0 at t = +/-inf, where betainc is exactly 0.0
     return float(betainc(df / 2.0, 0.5, x))
 
 
@@ -311,46 +300,24 @@ class EvalReport:
     significance_rows: list[SignificanceRow]
 
     def to_jsonl(self) -> str:
-        """One JSON object per (strategy, checkpoint) plus one per pair."""
-        lines = []
-        for row in self.recall_rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "recall",
-                        "strategy": row.strategy,
-                        "checkpoint": row.checkpoint,
-                        "k": self.k,
-                        "mean_recall": row.mean_recall,
-                        "per_query": row.per_query,
-                    },
-                    sort_keys=True,
-                )
-            )
+        """One JSON object per (strategy, checkpoint) plus one per pair, each
+        holding its row's fields; an infinite t is written as a null t_stat."""
+        lines = [
+            json.dumps({"type": "recall", "k": self.k, **vars(row)}, sort_keys=True)
+            for row in self.recall_rows
+        ]
         for row in self.significance_rows:
-            t_out = None if math.isinf(row.t_stat) else row.t_stat
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "significance",
-                        "checkpoint": row.checkpoint,
-                        "pair": list(row.pair),
-                        "t_stat": t_out,
-                        "t_infinite": math.isinf(row.t_stat),
-                        "p_raw": row.p_raw,
-                        "p_corrected": row.p_corrected,
-                        "alpha": self.alpha,
-                        "significant": row.significant,
-                    },
-                    sort_keys=True,
-                )
-            )
+            infinite = math.isinf(row.t_stat)  # JSON has no infinity
+            extra = {"type": "significance", "alpha": self.alpha, "t_infinite": infinite}
+            if infinite:
+                extra["t_stat"] = None
+            lines.append(json.dumps({**vars(row), **extra}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
 
 def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[RecallRow]:
-    """The recall step of ``evaluate_checkpoints``: check the inputs, then one
-    row per (strategy, checkpoint). The index and tokenise cache die with it."""
+    """The recall step of ``evaluate_checkpoints``: check the inputs, tokenise the
+    reached pages, then one row per (strategy, checkpoint). The arrays die with it."""
     if not traces:
         raise ValueError("need at least one trace")
     for strategy in sorted(traces):
@@ -377,31 +344,34 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
     hits = [(j, vocabulary[t]) for j, q in enumerate(eval_qids) for t in query_terms[q]]
     rel = [(j, number[d]) for j, q in enumerate(eval_qids) for d in relevant[q] if d in number]
     pairs = [np.array(x, np.intp).reshape(-1, 2).T for x in (hits, rel)]
-    lengths = array("i", [-1]) * len(number)  # a page's token count, once it is tokenised
-    postings = array("i"), array("i"), array("i")  # its doc, term and tf, in three columns
+    lengths = array("i")  # each page's token count
+    postings = array("i"), array("i"), array("i")  # its query-term postings' doc, term and tf
+    for i, doc_id in enumerate(reached):  # an unknown page fails at its index state, below
+        tokens = tokenize(corpus[doc_id].text) if doc_id in corpus else []
+        counts = Counter(filter(vocabulary.__contains__, tokens))
+        lengths.append(len(tokens))
+        postings[0].extend([i] * len(counts))
+        postings[1].extend(map(vocabulary.__getitem__, counts))
+        postings[2].extend(counts.values())
+    dl, docs, terms, tf = (np.frombuffer(column, np.int32) for column in (lengths, *postings))
     recall_rows: list[RecallRow] = []
     done = {}  # index state -> its per-query recall: a state that recurs is scored once
     for strategy in sorted(traces):
-        trace, total, member = traces[strategy], 0, np.zeros(len(number), bool)
+        trace, member = traces[strategy], np.zeros(len(number), bool)
         for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
             check_rank(trace, checkpoint)
-            for doc_id in sorted(d for _, d, _ in trace.entries[indexed:checkpoint]):
-                i = number[doc_id]  # pages go in a full build's order: the same one fails first
-                if lengths[i] < 0:
-                    lengths[i], tf = _term_counts(corpus, doc_id, vocabulary)
-                    postings[0].extend([i] * len(tf))
-                    postings[1].extend(map(vocabulary.__getitem__, tf))
-                    postings[2].extend(tf.values())
-                total += lengths[i]
-                member[i] = True
+            added = [d for _, d, _ in trace.entries[indexed:checkpoint]]
+            unknown = min((d for d in added if d not in corpus), default=None)
+            if unknown is not None:  # a full build adds pages in doc_id order: this one fails
+                raise UnknownDoc(f"doc_id not in corpus: {unknown!r}")
+            member[list(map(number.__getitem__, added))] = True
+            total = int(dl[member].sum())
             if total == 0:
                 raise ValueError("every document in the index has zero tokens")
             key = np.packbits(member).tobytes()  # n/8 bytes
             if key not in done:
-                # unnamed views: a column still exported to numpy could not grow
-                keep = member[np.frombuffer(postings[0], np.int32)]
-                columns = (np.frombuffer(column, np.int32)[keep] for column in postings)
-                state = _weigh(*columns, np.array(lengths, np.float64), len(vocabulary),
+                keep = member[docs]
+                state = _weigh(docs[keep], terms[keep], tf[keep], dl, len(vocabulary),
                                checkpoint, total / checkpoint)
                 found = _found_counts(state, *pairs, (len(eval_qids), len(number)), k).tolist()
                 done[key] = [f / len(relevant[qid]) for qid, f in zip(eval_qids, found)]

@@ -94,11 +94,15 @@ MUTANTS = [
         "chain.from_iterable(query_terms.values())), count()))",
         "chain.from_iterable(list(query_terms.values())[:-1])), count()))",
     ),
+    (RETRIEVAL, "lengths.append(len(tokens))", "lengths.append(max(len(tokens), 1))"),
     (
         RETRIEVAL,
-        "return len(tokens), Counter(counted)",
-        "return max(len(tokens), 1), Counter(counted)",
+        "index.doc_lengths[doc_id] = len(tokens)",
+        "index.doc_lengths[doc_id] = max(len(tokens), 1)",
     ),
+    # eval names the smallest unknown page that a checkpoint adds, as a full build does
+    (RETRIEVAL, "unknown = min((d for d in added", "unknown = max((d for d in added"),
+    (RETRIEVAL, "if unknown is not None:", "if False:"),
     # the weights of an index state and their sum in query-term order
     (RETRIEVAL, "for df in dfs.tolist()]", "for df in reversed(dfs.tolist())]"),
     (
@@ -143,6 +147,11 @@ MUTANTS = [
         'raise ValueError("no query has judged-relevant documents")\n    if k < 1:',
         'raise ValueError("no query has judged-relevant documents")\n    if False:',
     ),
+    # the report rows: each holds its dataclass's fields, k or alpha, and an infinite t as null
+    (RETRIEVAL, '{"type": "recall", "k": self.k, **vars(row)}', '{"type": "recall", **vars(row)}'),
+    (RETRIEVAL, '"t_infinite": infinite}', '"t_infinite": not infinite}'),
+    (RETRIEVAL, "            if infinite:\n", "            if False:\n"),
+    (CLI, '{"table": first_label, **vars(report)}', '{**vars(report)}'),
     # a missing-score error names its table, in stats too; eval's k is checked before
     # the corpus loads
     (CLI, 'MissingScore(f"{table}: {exc}") if table else exc', "exc"),
@@ -216,6 +225,23 @@ MUTANTS = [
         "elif any(isinstance(item, bool) for item in items):",
         "elif any(isinstance(item, bool) for item in items[1:]):",
     ),
+    # input checks that name their line: trace ranks, qrels grades, score-table scores; and
+    # eval's trace names and stats' table labels and score range
+    (
+        CRAWLER,
+        'raise CorpusFormatError(f"{path}:{lineno}: non-integer rank") from None',
+        "rank = len(entries) + 1",
+    ),
+    (CRAWLER, "if rank != len(entries) + 1:", "if False:"),
+    (RETRIEVAL, "if grade < 0:", "if False:"),
+    (
+        QUALITY,
+        'raise CorpusFormatError(f"{path}:{lineno}: unparseable score {score_s!r}") from None',
+        "score = 0.0",
+    ),
+    (CLI, "if name in traces:", "if False:"),
+    (CLI, "if label in tables:", "if False:"),
+    (CLI, "if hist_list is None:", "if False:"),
     # score tables: finite scores, unique ids; the outlink mean over distinct targets
     (QUALITY, "if not math.isfinite(score):", "if False:"),
     (QUALITY, "if doc_id in table:", "if False:"),

@@ -489,6 +489,13 @@ class TestEval:
         argv += [arg for name, path in traces.items() for arg in ("--trace", f"{name}={path}")]
         return main(argv + list(extra))
 
+    def test_repeated_trace_name_fails(self, corpus_files, capsys):
+        trace = corpus_files["dir"] / "bfs.tsv"
+        self._crawl(corpus_files, "bfs", trace)
+        assert self._eval(corpus_files, {"bfs": trace}, "--trace", f"bfs={trace}") == 1
+        assert capsys.readouterr().err == "error: duplicate trace name 'bfs'\n"
+        assert not (corpus_files["dir"] / "r.jsonl").exists()
+
     def test_pages_and_traces_are_freed_before_the_t_tests(self, corpus_files, monkeypatch):
         # eval loads its inputs inside the recall step's caller, so scipy loads into freed memory
         traces = {s: corpus_files["dir"] / f"{s}.tsv" for s in ("bfs", "dfs")}
@@ -636,6 +643,29 @@ class TestStats:
         )
         assert rc == 1
         assert capsys.readouterr().err == f"error: {table}: no quality score for 'a'\n"
+        assert not out.exists()
+
+    def test_repeated_table_label_fails(self, corpus_files, capsys):
+        same_stem = corpus_files["dir"] / "other" / "scores.tsv"
+        same_stem.parent.mkdir()
+        same_stem.write_text(Path(corpus_files["scores"]).read_text())
+        out = corpus_files["dir"] / "stats_label"
+        rc = main(["stats", "--scores", corpus_files["scores"], "--scores", str(same_stem),
+                   "--output", str(out)])
+        assert rc == 1
+        expected = "error: duplicate score-table label 'scores'; rename the files\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_identical_scores_fail(self, corpus_files, capsys):
+        table = corpus_files["dir"] / "flat.tsv"
+        table.write_text("a\t-1.0\nb\t-1.0\nc\t-1.0\n")
+        out = corpus_files["dir"] / "stats_flat"
+        rc = main(["stats", "--scores", str(table), "--input", corpus_files["corpus"],
+                   "--output", str(out)])
+        assert rc == 1
+        expected = "error: all scores identical across tables; histogram width is zero\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_table_missing_a_leaf_target_is_named(self, corpus_files, capsys):

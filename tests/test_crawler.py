@@ -195,6 +195,16 @@ class TestTraceValidation:
         with pytest.raises(CorpusFormatError, match=expected):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "rank, message",
+        [("x", "non-integer rank"), ("3", "ranks must increase by 1")],
+        ids=["non_integer", "gap"],
+    )
+    def test_bad_rank_names_its_line(self, tmp_path, rank, message):
+        path = self._write(tmp_path, f"#checkpoints\t2\n1\ta\t-\n{rank}\tb\t-\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:3: {message}$"):
+            read_trace(path)
+
     def test_non_float_priority(self, tmp_path):
         path = self._write(tmp_path, "#checkpoints\t2\n1\ta\t-1.5\n2\tb\tbad\n")
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:3: "):

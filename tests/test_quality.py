@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ class TestScoreTableIO:
             load_score_table(str(path))
         path.write_text("a\tinf\n")
         with pytest.raises(CorpusFormatError, match="non-finite"):
+            load_score_table(str(path))
+
+    def test_unparseable_score_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\t1\nb\tabc\n")
+        expected = rf"^{re.escape(str(path))}:2: unparseable score 'abc'$"
+        with pytest.raises(CorpusFormatError, match=expected):
             load_score_table(str(path))
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from itertools import accumulate
@@ -63,6 +64,50 @@ def _corpus(texts):
     rows = [{"doc_id": d, "url": None, "text": t, "outlinks": []} for d, t in texts.items()]
     corpus, _, _ = build_corpus(rows)
     return corpus
+
+
+# TestEvalArguments and TestReportRows come first, so that tests/mutants.py's mutants of
+# eval's k check and of the report rows fail before any slow property runs
+class TestEvalArguments:
+    def test_k_below_one(self):
+        corpus = _corpus({"d1": "a b"})
+        trace = CrawlTrace(entries=[(1, "d1", None)], checkpoint_ranks=[1])
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            retrieval.evaluate_recall(corpus, {"bfs": trace}, {"q1": "a"}, {"q1": {"d1": 1}}, k=0)
+
+
+class TestReportRows:
+    """Each report row holds its dataclass's fields, plus type and k or alpha."""
+
+    def _objects(self):
+        rows = [
+            retrieval.RecallRow("a", 4, {"q1": 1.0, "q2": 1.0}, 1.0),
+            retrieval.RecallRow("b", 4, {"q1": 0.5, "q2": 0.5}, 0.5),  # a - b is constant
+            retrieval.RecallRow("c", 4, {"q1": 0.0, "q2": 0.5}, 0.25),
+        ]
+        report = retrieval.evaluate_significance(rows, k=10, alpha=0.05)
+        return [json.loads(line) for line in report.to_jsonl().splitlines()]
+
+    def test_keys(self):
+        objs = self._objects()
+        assert [o["type"] for o in objs] == ["recall"] * 3 + ["significance"] * 3
+        for obj in objs[:3]:
+            assert set(obj) == {"type", "strategy", "checkpoint", "k", "mean_recall", "per_query"}
+            assert obj["k"] == 10
+        for obj in objs[3:]:
+            assert set(obj) == {
+                "type", "checkpoint", "pair", "t_stat", "t_infinite", "p_raw", "p_corrected",
+                "alpha", "significant",
+            }
+            assert obj["alpha"] == 0.05
+
+    def test_constant_nonzero_difference_is_an_infinite_t(self):
+        by_pair = {tuple(o["pair"]): o for o in self._objects() if o["type"] == "significance"}
+        infinite = by_pair[("a", "b")]
+        assert (infinite["t_stat"], infinite["t_infinite"], infinite["p_raw"]) == (None, True, 0.0)
+        for pair in (("a", "c"), ("b", "c")):
+            assert by_pair[pair]["t_infinite"] is False
+            assert math.isfinite(by_pair[pair]["t_stat"])
 
 
 class TestTokenize:
@@ -539,6 +584,11 @@ class TestTTest:
         with pytest.raises(ValueError):
             paired_t_test_bonferroni({"a": [1.0], "b": [2.0]})
 
+    @pytest.mark.parametrize("df", [1, 2, 5, 59, 799, 10**6])
+    def test_p_value_at_infinite_t_is_zero(self, df):
+        assert t_p_value(math.inf, df) == 0.0
+        assert t_p_value(-math.inf, df) == 0.0
+
     def test_p_value_against_simpson_oracle(self):
         for df in (1, 2, 5, 9, 30):
             for t in (0.0, 0.5, 1.3, 2.7, 8.0):
@@ -584,6 +634,13 @@ class TestFileLoaders:
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 x\n")
         with pytest.raises(CorpusFormatError):
+            load_qrels(str(path))
+
+    def test_qrels_negative_grade_names_its_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d2 -1\n")
+        expected = rf"^{re.escape(str(path))}:2: grade must be >= 0$"
+        with pytest.raises(CorpusFormatError, match=expected):
             load_qrels(str(path))
 
 
@@ -636,8 +693,6 @@ class TestEvaluateCheckpoints:
     def test_report_jsonl_shape(self):
         corpus, traces, queries, qrels = self._setup()
         report = evaluate_checkpoints(corpus, traces, queries, qrels, k=100)
-        import json
-
         lines = report.to_jsonl().strip().split("\n")
         objs = [json.loads(line) for line in lines]
         kinds = {o["type"] for o in objs}
