@@ -395,7 +395,7 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
 def main(argv=None) -> int:
     if argv is None:
-        argv = sys.argv[1:]
+        argv = sys.argv[1:]  # pragma: no cover - the console script's call; tests pass argv
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(list(argv), parser))
@@ -407,4 +407,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # pragma: no cover - runs only as a script, in a child process

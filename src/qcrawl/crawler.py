@@ -124,10 +124,11 @@ def read_trace(path: str, corpus_ids: Container[str] | None = None) -> CrawlTrac
     """
     lines = read_lines(path)
     lineno, header = next(lines, (1, ""))
-    if lineno != 1 or not header.startswith("#checkpoints"):
+    tag, _, cells = header.partition("\t")
+    if lineno != 1 or tag != "#checkpoints":
         raise CorpusFormatError(f"{path}:1: missing '#checkpoints' header")
-    try:
-        checkpoints = [int(c) for c in header.split("\t")[1:] if c]
+    try:  # an empty trace's header is "#checkpoints\t": no cells, not one empty cell
+        checkpoints = [int(c) for c in cells.split("\t")] if cells else []
     except ValueError:
         raise CorpusFormatError(f"{path}:1: non-integer checkpoint rank") from None
     entries: list[tuple[int, str, float | None]] = []

@@ -6,13 +6,13 @@ which keeps idf strictly positive for every indexed term. Recall@k counts
 all judged-relevant documents in the denominator, crawled or not, so the
 metric measures crawl coverage rather than pure ranking quality.
 
-Checkpoint evaluation tokenises every page a trace reaches once, before the first
-index state, in doc_id order. Each index state (a strategy's prefix at a checkpoint)
-fails as a full index build would, and is weighed in one pass from the counts such
-an index holds; its queries are scored in blocks, each doc's weights summed in
-query-term order. A relevant doc counts iff its score is > 0 and fewer than k docs
-rank before it: a higher score, or the same score and a smaller number, that is
-doc_id. A state that recurs is scored once.
+Checkpoint evaluation tokenises each page a trace reaches once, in doc_id order, and counts
+its query-term postings with one np.unique, by term and then page. Each index state (a
+strategy's prefix at a checkpoint) fails as a full index build would and is weighed in one
+pass from its share of those postings; its queries are scored in blocks, each doc's weights
+summed in query-term order. search_topk and the recall count rank from one order, score
+descending with ties to the smaller doc_id: a relevant doc counts iff its score is > 0 and
+its rank is below k. A state that recurs is scored once.
 Only the recall rows reach the t-tests: in ``qcrawl eval`` the pages and traces
 are freed, numpy loaded first and garbage collected, before scipy loads.
 """
@@ -81,12 +81,10 @@ def build_index(corpus: dict[str, DocumentRecord], doc_ids) -> InvertedIndex:
 
 
 def _weigh(docs, terms, tf, lengths, n_terms: int, n_docs: int, avgdl: float) -> tuple:
-    """Sort an index state's postings, given as doc, term and tf arrays, by term, then
-    doc, and weigh them all at once: (docs, BM25 weights, each term's first posting, dfs)."""
+    """Weigh an index state's postings, given as doc, term and tf arrays sorted by term,
+    all at once: (docs, BM25 weights, each term's first posting, dfs)."""
     import numpy as np
 
-    order = np.argsort(terms * np.intp(len(lengths)) + docs, kind="stable")
-    docs, terms, tf = docs[order], terms[order], tf[order]
     dfs = np.bincount(terms, minlength=n_terms)
     idf = np.array([math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5)) for df in dfs.tolist()])
     norm = K1 * (1.0 - B + B * lengths[docs] / avgdl)  # BM25, over every posting at once
@@ -101,10 +99,10 @@ def _ranges(starts, lens):
 
 
 def _sums(rows, terms, state, n: int) -> tuple:
-    """Keys row * n + doc, ascending, of the docs that a block of queries matches, and
-    their BM25 scores. Row rows[i] reads term terms[i]'s postings, in query-term order,
-    which the stable sort keeps, so a doc's weights add from 0.0 in that order. Matched
-    iff the sum is > 0."""
+    """Keys row * n + doc, ascending, of the docs that a block of queries matches, their
+    BM25 scores, and the rank order: by row, then score descending, then doc number, that
+    is doc_id. Row rows[i] reads term terms[i]'s postings in query-term order, kept by the
+    stable sort, so a doc's weights add from 0.0 in that order; matched iff the sum is > 0."""
     import numpy as np
 
     docs, weights, firsts, dfs = state
@@ -113,7 +111,8 @@ def _sums(rows, terms, state, n: int) -> tuple:
     order = np.argsort(keys, kind="stable")  # merges runs: each term's docs ascend
     keys, first = keys[order], np.ones(len(keys), bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])  # a pair's first posting
-    return keys[first], np.bincount(np.cumsum(first) - 1, weights[at][order])
+    keys, scores = keys[first], np.bincount(np.cumsum(first) - 1, weights[at][order])
+    return keys, scores, np.lexsort((keys, -scores, keys // n))
 
 
 def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, float]]:
@@ -128,11 +127,11 @@ def search_topk(index: InvertedIndex, query_terms, k: int) -> list[tuple[str, fl
     hits = np.arange(len(lists))  # the query's terms, numbered in query-term order
     docs = np.fromiter(map(number.__getitem__, chain.from_iterable(lists)), np.intp)
     tf = np.fromiter(chain.from_iterable(map(dict.values, lists)), np.intp)
-    terms = np.repeat(hits, list(map(len, lists)))
+    terms = np.repeat(hits, list(map(len, lists)))  # postings term by term: sorted by term
     lengths = np.array([index.doc_lengths[d] for d in doc_ids], np.float64)
     state = _weigh(docs, terms, tf, lengths, len(lists), index.doc_count, index.avgdl)
-    keys, scores = _sums(0 * hits, hits, state, 0)
-    top = np.argsort(-scores, kind="stable")[:k]  # ties keep the keys' doc_id order
+    keys, scores, order = _sums(0 * hits, hits, state, len(doc_ids))
+    top = order[:k]
     return list(zip(map(doc_ids.__getitem__, keys[top].tolist()), scores[top].tolist()))
 
 
@@ -142,8 +141,8 @@ BLOCK = 1 << 14  # postings that one block of eval's queries reads: arrays near 
 def _found_counts(state, queries, relevant, shape: tuple[int, int], k: int):
     """Per query, how many relevant docs are in its top k at one index state of ``shape``
     (queries, docs); ``queries`` and ``relevant`` are (row, term) and (row, doc) number
-    pairs, sorted by row. Doc r is in iff s_r > 0 and fewer than k docs rank ahead of it:
-    those scored higher, and those scored s_r with a smaller number, that is doc_id."""
+    pairs, sorted by row. Doc r is in iff s_r > 0 and its rank, its place in ``_sums``'
+    rank order less its row's start, is below k: fewer than k docs rank ahead of it."""
     import numpy as np
 
     (q_rows, q_terms), (r_rows, r_docs), (n_rows, n) = queries, relevant, shape
@@ -152,19 +151,15 @@ def _found_counts(state, queries, relevant, shape: tuple[int, int], k: int):
     found = np.zeros(n_rows, np.intp)
     for a, b in zip(edges, edges[1:]):
         pairs, rel = (slice(*np.searchsorted(x, [a, b])) for x in (q_rows, r_rows))
-        keys, scores = _sums(q_rows[pairs], q_terms[pairs], state, n)
+        keys, scores, order = _sums(q_rows[pairs], q_terms[pairs], state, n)
         if not len(keys):
             continue  # no query of the block matches a doc
         rows, rel_keys = r_rows[rel] - a, r_rows[rel] * n + r_docs[rel]
         at = np.searchsorted(keys, rel_keys, "right") - 1  # the last key <= each
         s_r = np.where(keys[at] == rel_keys, scores[at], 0.0)
-        bounds = np.searchsorted(keys, np.arange(a, b + 1) * n)  # each row's matched docs
-        matched = (bounds[1:] - bounds[:-1])[rows]
-        lens = np.where(matched > k, matched, 0)  # k or fewer matched: each is in, no rank
-        other, owner = _ranges(bounds[rows], lens), np.repeat(np.arange(len(rows)), lens)
-        mine, theirs = s_r[owner], scores[other]
-        ahead = (theirs > mine) | ((theirs == mine) & (keys[other] < rel_keys[owner]))
-        rank = np.bincount(owner[ahead], minlength=len(rows))
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))  # each key's place in the rank order
+        rank = place[at] - np.searchsorted(keys, r_rows[rel] * n)  # less its row's first key
         found[a:b] = np.bincount(rows[(s_r > 0) & (rank < k)], minlength=b - a)
     return found
 
@@ -344,20 +339,19 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
     hits = [(j, vocabulary[t]) for j, q in enumerate(eval_qids) for t in query_terms[q]]
     rel = [(j, number[d]) for j, q in enumerate(eval_qids) for d in relevant[q] if d in number]
     pairs = [np.array(x, np.intp).reshape(-1, 2).T for x in (hits, rel)]
+    n = len(number)
     lengths = array("i")  # each page's token count
-    postings = array("i"), array("i"), array("i")  # its query-term postings' doc, term and tf
+    postings = array("q")  # term * n + page, once per query-term token
     for i, doc_id in enumerate(reached):  # an unknown page fails at its index state, below
         tokens = tokenize(corpus[doc_id].text) if doc_id in corpus else []
-        counts = Counter(filter(vocabulary.__contains__, tokens))
         lengths.append(len(tokens))
-        postings[0].extend([i] * len(counts))
-        postings[1].extend(map(vocabulary.__getitem__, counts))
-        postings[2].extend(counts.values())
-    dl, docs, terms, tf = (np.frombuffer(column, np.int32) for column in (lengths, *postings))
+        postings.extend([vocabulary[t] * n + i for t in tokens if t in vocabulary])
+    postings, tf = np.unique(postings, return_counts=True)  # rebound: frees the per-token keys
+    (terms, docs), dl = np.divmod(postings, n), np.frombuffer(lengths, np.int32)  # term, page
     recall_rows: list[RecallRow] = []
     done = {}  # index state -> its per-query recall: a state that recurs is scored once
     for strategy in sorted(traces):
-        trace, member = traces[strategy], np.zeros(len(number), bool)
+        trace, member = traces[strategy], np.zeros(n, bool)
         for indexed, checkpoint in zip([0] + checkpoints, checkpoints):
             check_rank(trace, checkpoint)
             added = [d for _, d, _ in trace.entries[indexed:checkpoint]]
@@ -373,7 +367,7 @@ def evaluate_recall(corpus, traces, queries, qrels, k: int = 100) -> list[Recall
                 keep = member[docs]
                 state = _weigh(docs[keep], terms[keep], tf[keep], dl, len(vocabulary),
                                checkpoint, total / checkpoint)
-                found = _found_counts(state, *pairs, (len(eval_qids), len(number)), k).tolist()
+                found = _found_counts(state, *pairs, (len(eval_qids), n), k).tolist()
                 done[key] = [f / len(relevant[qid]) for qid, f in zip(eval_qids, found)]
             per_query = dict(zip(eval_qids, done[key]))
             mean = sum(per_query.values()) / len(eval_qids)

@@ -36,6 +36,7 @@ CORPUS = "src/qcrawl/corpus.py"
 CRAWLER = "src/qcrawl/crawler.py"
 QUALITY = "src/qcrawl/quality.py"
 CLI = "src/qcrawl/cli.py"
+SYNTH = "src/qcrawl/synth.py"
 # The test files that exercise each source file, its own first: a mutant runs
 # against these only, in this order, and stops at the first failure.
 TESTS_OF = {
@@ -45,6 +46,7 @@ TESTS_OF = {
     CRAWLER: ("test_crawler.py", "test_acceptance.py", "test_cli.py"),
     QUALITY: ("test_quality.py", "test_acceptance.py", "test_cli.py"),
     CLI: ("test_cli.py", "test_acceptance.py"),
+    SYNTH: ("test_synth.py", "test_acceptance.py"),
 }
 # The lines between hexbin's cell code and its decoding.
 _HEXBIN_CODE_TAIL = """
@@ -123,13 +125,21 @@ MUTANTS = [
         "doc_ids = sorted(set().union(*lists), reverse=True)",
     ),
     (RETRIEVAL, "reached = sorted({d for t", "reached = list({d for t"),
-    # the recall count: the tie test, the strict score test, the s_r > 0 guard, the
-    # rows of a query that matches more than k docs, each block's own rows, and the
-    # reuse of an index state, keyed by its pages
-    (RETRIEVAL, "& (keys[other] < rel_keys[owner])", "& (keys[other] <= rel_keys[owner])"),
-    (RETRIEVAL, "ahead = (theirs > mine) |", "ahead = (theirs >= mine) |"),
+    # eval's postings: (term, page) keys split by divmod, tf counted by np.unique
+    (RETRIEVAL, "(terms, docs), dl = np.divmod(", "(docs, terms), dl = np.divmod("),
+    (RETRIEVAL, "docs[keep], terms[keep], tf[keep]", "docs[keep], terms[keep], 0 * tf[keep] + 1"),
+    # the one rank order (by row, score descending, then doc number) and the recall
+    # count from it: a rank below k, each rank counted from its row's start, the s_r > 0
+    # guard, each block's own rows, and the reuse of an index state, keyed by its pages
+    (
+        RETRIEVAL,
+        "np.lexsort((keys, -scores, keys // n))",
+        "np.lexsort((-keys, -scores, keys // n))",
+    ),
+    (RETRIEVAL, "np.lexsort((keys, -scores, keys // n))", "np.lexsort((keys, scores, keys // n))"),
+    (RETRIEVAL, "rows[(s_r > 0) & (rank < k)]", "rows[(s_r > 0) & (rank <= k)]"),
+    (RETRIEVAL, "rank = place[at] - np.searchsorted(keys, r_rows[rel] * n)", "rank = place[at]"),
     (RETRIEVAL, "rows[(s_r > 0) & (rank < k)]", "rows[rank < k]"),
-    (RETRIEVAL, "np.where(matched > k, matched, 0)", "np.where(matched > k + 1, matched, 0)"),
     (RETRIEVAL, "rows, rel_keys = r_rows[rel] - a,", "rows, rel_keys = r_rows[rel],"),
     (RETRIEVAL, "key = np.packbits(member).tobytes()", "key = checkpoint"),
     # eval's two steps: the loading helper returns only recall rows, so the
@@ -242,6 +252,28 @@ MUTANTS = [
     (CLI, "if name in traces:", "if False:"),
     (CLI, "if label in tables:", "if False:"),
     (CLI, "if hist_list is None:", "if False:"),
+    # the trace header: exactly "#checkpoints", then integer cells, none for an empty trace
+    (CRAWLER, 'tag != "#checkpoints":', 'not header.startswith("#checkpoints"):'),
+    (CRAWLER, r'int(c) for c in cells.split("\t")]', r'int(c) for c in cells.split("\t") if c]'),
+    (CRAWLER, r'for c in cells.split("\t")] if cells else []', r'for c in cells.split("\t")]'),
+    # argument checks that no other test reaches
+    (ANALYTICS, "if x.size != y.size:", "if False:"),
+    (ANALYTICS, "if x.size < 2:", "if x.size < 1:"),
+    (ANALYTICS, "if not pts:", "if False:"),
+    (ANALYTICS, "if gridsize < 1:", "if gridsize < 0:"),
+    (
+        ANALYTICS,
+        'if arr.size == 0:\n        raise ValueError("no values")',
+        "if False:\n        pass",
+    ),
+    (QUALITY, "if doc_id not in graph.adjacency:", "if False:"),
+    (RETRIEVAL, "if df < 1:", "if df < 0:"),
+    (RETRIEVAL, "    if not traces:\n", "    if False:\n"),
+    (SYNTH, "if n_rel >= n_nodes:", "if n_rel > n_nodes:"),
+    (SYNTH, "if n_seeds > n_nodes:", "if n_seeds >= n_nodes:"),
+    (CORPUS, "if fmt not in RECORD_FORMATS:", "if False:"),
+    (CORPUS, "        raise\n\n\ndef split_fields(", "        pass\n\n\ndef split_fields("),
+    (CLI, "if at + 1 >= len(argv):", "if False:"),
     # score tables: finite scores, unique ids; the outlink mean over distinct targets
     (QUALITY, "if not math.isfinite(score):", "if False:"),
     (QUALITY, "if doc_id in table:", "if False:"),

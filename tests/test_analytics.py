@@ -25,6 +25,34 @@ from qcrawl import (
 from oracles import hexbin_full_scan
 
 
+class TestArgumentChecks:
+    """Each function's own argument checks; first in the file, so that tests/mutants.py's
+    mutants of them fail before any slow property runs."""
+
+    @pytest.mark.parametrize("fit", [pearson, ols_regression])
+    def test_series_of_unequal_length(self, fit):
+        with pytest.raises(ValueError, match="^series must have equal length$"):
+            fit([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("fit", [pearson, ols_regression])
+    def test_series_of_one_sample(self, fit):
+        with pytest.raises(ValueError, match="^need at least two samples$"):
+            fit([1.0], [2.0])
+
+    def test_hexbin_of_no_points(self):
+        with pytest.raises(ValueError, match="^no points to bin$"):
+            hexbin([], gridsize=5, min_count=1)
+
+    def test_hexbin_gridsize_below_one(self):
+        hexbin([(0.0, 0.0), (1.0, 1.0)], gridsize=1, min_count=1)
+        with pytest.raises(ValueError, match="^gridsize must be >= 1$"):
+            hexbin([(0.0, 0.0), (1.0, 1.0)], gridsize=0, min_count=1)
+
+    def test_quartiles_of_nothing(self):
+        with pytest.raises(ValueError, match="^no values$"):
+            quartiles([])
+
+
 class TestHistogram:
     def test_top_edge_inclusive(self):
         hist = histogram([0.0, 1.0], bins=2)

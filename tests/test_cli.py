@@ -824,6 +824,12 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_config_without_its_file_is_a_usage_error(self, corpus_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--scores", corpus_files["scores"], "--config"])
+        assert exc.value.code == 2
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+
     def test_non_utf8_config_names_its_line(self, corpus_files, capsys):
         cfg = corpus_files["dir"] / "cfg.json"
         cfg.write_bytes(b'{\n  "strategy": "bfs\xff"\n}\n')

@@ -72,6 +72,22 @@ def test_duplicate_doc_id_error_names_id():
         build_corpus(rows)
 
 
+def test_unknown_record_format(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"doc_id": "a", "text": "x"}\n')
+    with pytest.raises(ValueError, match=r"^unsupported record format: 'parquet'$"):
+        load_corpus(str(path), "parquet")
+
+
+def test_a_decode_error_from_elsewhere_passes_through(tmp_path):
+    # the file decodes cleanly, so the error did not come from it: it is re-raised as is
+    path = tmp_path / "clean.txt"
+    path.write_text("a\nb\n")
+    with pytest.raises(UnicodeDecodeError):
+        with corpus_module.utf8_errors(str(path)):
+            b"\xff".decode("utf-8")
+
+
 def test_jsonl_malformed_line_reports_lineno(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"doc_id": "a", "text": "ok", "outlinks": []}\nnot json\n')

@@ -205,6 +205,27 @@ class TestTraceValidation:
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:3: {message}$"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#checkpoints2\t2", "missing '#checkpoints' header"),
+            ("#checkpoints\t1\t\t2", "non-integer checkpoint rank"),
+            ("#checkpoints\t2\t", "non-integer checkpoint rank"),
+        ],
+        ids=["longer_tag", "empty_cell", "trailing_tab"],
+    )
+    def test_bad_header_names_line_one(self, tmp_path, header, message):
+        path = self._write(tmp_path, f"{header}\n1\ta\t-\n2\tb\t-\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:1: {message}$"):
+            read_trace(path)
+
+    def test_empty_trace_round_trips(self, tmp_path):
+        path = tmp_path / "trace.tsv"
+        write_trace(CrawlTrace(entries=[], checkpoint_ranks=[]), str(path))
+        assert path.read_text() == "#checkpoints\t\n"
+        trace = read_trace(str(path))
+        assert (trace.entries, trace.checkpoint_ranks) == ([], [])
+
     def test_non_float_priority(self, tmp_path):
         path = self._write(tmp_path, "#checkpoints\t2\n1\ta\t-1.5\n2\tb\tbad\n")
         with pytest.raises(CorpusFormatError, match=rf"^{re.escape(path)}:3: "):

@@ -12,6 +12,7 @@ from qcrawl import (
     EmptyText,
     MissingScore,
     NoOutlinks,
+    UnknownDoc,
     WebGraph,
     build_corpus,
     load_score_table,
@@ -116,6 +117,11 @@ class TestScoreTableIO:
 
 
 class TestMeanOutlinkQuality:
+    def test_unknown_doc(self):
+        _, graph, _ = build_corpus([{"doc_id": "a", "url": None, "text": "x", "outlinks": []}])
+        with pytest.raises(UnknownDoc, match="^unknown doc_id: 'zz'$"):
+            mean_outlink_quality(graph, {"a": -1.0}, "zz")
+
     def test_singleton(self):
         rows = [
             {"doc_id": "a", "url": None, "text": "x", "outlinks": ["b"]},

@@ -66,14 +66,43 @@ def _corpus(texts):
     return corpus
 
 
-# TestEvalArguments and TestReportRows come first, so that tests/mutants.py's mutants of
-# eval's k check and of the report rows fail before any slow property runs
+def _crawled(order, checkpoints):
+    """A trace that crawled ``order`` with the given checkpoint ranks."""
+    entries = [(rank, doc_id, None) for rank, doc_id in enumerate(order, start=1)]
+    return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
+
+
+# TestEvalArguments, TestReportRows and TestFileLoaders come first, so that
+# tests/mutants.py's mutants of eval's checks, the report rows and the loaders' checks fail
+# before any slow property runs
 class TestEvalArguments:
     def test_k_below_one(self):
         corpus = _corpus({"d1": "a b"})
         trace = CrawlTrace(entries=[(1, "d1", None)], checkpoint_ranks=[1])
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
             retrieval.evaluate_recall(corpus, {"bfs": trace}, {"q1": "a"}, {"q1": {"d1": 1}}, k=0)
+
+    def test_no_traces(self):
+        with pytest.raises(ValueError, match=r"^need at least one trace$"):
+            retrieval.evaluate_recall(_corpus({"d1": "a"}), {}, {"q1": "a"}, {"q1": {"d1": 1}})
+
+    def test_the_smallest_unknown_page_is_named(self):
+        # zz and yy enter at the second checkpoint; a full build adds yy first
+        trace = _crawled(["d1", "zz", "yy"], [1, 3])
+        with pytest.raises(UnknownDoc, match=r"^doc_id not in corpus: 'yy'$"):
+            retrieval.evaluate_recall(_corpus({"d1": "a"}), {"bfs": trace}, {"q1": "a"},
+                                      {"q1": {"d1": 1}})
+
+    def test_a_prefix_of_zero_token_pages(self):
+        trace = _crawled(["d1", "d2"], [1, 2])
+        with pytest.raises(ValueError, match=r"^every document in the index has zero tokens$"):
+            retrieval.evaluate_recall(_corpus({"d1": "--", "d2": "a"}), {"bfs": trace},
+                                      {"q1": "a"}, {"q1": {"d2": 1}})
+
+    def test_t_p_value_needs_a_degree_of_freedom(self):
+        assert t_p_value(0.0, 1) == 1.0
+        with pytest.raises(ValueError, match=r"^degrees of freedom must be >= 1$"):
+            t_p_value(0.0, 0)
 
 
 class TestReportRows:
@@ -108,6 +137,53 @@ class TestReportRows:
         for pair in (("a", "c"), ("b", "c")):
             assert by_pair[pair]["t_infinite"] is False
             assert math.isfinite(by_pair[pair]["t_stat"])
+
+
+class TestFileLoaders:
+    def test_queries(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q1\thello world\nq2\ttabs\tstay in text\n")
+        queries = load_queries(str(path))
+        assert queries == {"q1": "hello world", "q2": "tabs\tstay in text"}
+
+    @pytest.mark.parametrize("line", ["q1 \thello", " q1\thello", "q 1\thello"])
+    def test_queries_id_with_whitespace(self, tmp_path, line):
+        # a qrels id is whitespace-split, so it could never match this query
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q0\tfine\n{line}\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: query_id"):
+            load_queries(str(path))
+
+    def test_queries_duplicate_id(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q1\ta\nq1\tb\n")
+        with pytest.raises(CorpusFormatError, match="duplicate"):
+            load_queries(str(path))
+
+    def test_qrels_trec_layout(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n")
+        qrels = load_qrels(str(path))
+        assert qrels == {"q1": {"d1": 1, "d2": 0}, "q2": {"d1": 2}}
+
+    def test_qrels_duplicate_pair(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d1 1\n")
+        with pytest.raises(CorpusFormatError, match="duplicate"):
+            load_qrels(str(path))
+
+    def test_qrels_bad_grade(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 x\n")
+        with pytest.raises(CorpusFormatError):
+            load_qrels(str(path))
+
+    def test_qrels_negative_grade_names_its_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq1 0 d2 -1\n")
+        expected = rf"^{re.escape(str(path))}:2: grade must be >= 0$"
+        with pytest.raises(CorpusFormatError, match=expected):
+            load_qrels(str(path))
 
 
 class TestTokenize:
@@ -251,12 +327,6 @@ class TestBM25:
             assert score == bm25_from_scratch(texts, query, doc_id, reference_tokenize)
 
 
-def _crawled(order, checkpoints):
-    """A trace that crawled ``order`` with the given checkpoint ranks."""
-    entries = [(rank, doc_id, None) for rank, doc_id in enumerate(order, start=1)]
-    return CrawlTrace(entries=entries, checkpoint_ranks=checkpoints)
-
-
 class TestEvalIndexStates:
     """Each index state that evaluate_recall scores sums every matched doc's BM25
     weights to the score that the oracle gives over an index built from scratch on
@@ -279,9 +349,9 @@ class TestEvalIndexStates:
             return found_counts(*args)
 
         def summing(*args):
-            keys, scores = sums(*args)
+            keys, scores, order = sums(*args)
             blocks_of_states[-1].append((keys.tolist(), scores.tolist()))
-            return keys, scores
+            return keys, scores, order
 
         with mock.patch.multiple(retrieval, _sums=summing, _found_counts=counting):
             retrieval.evaluate_recall(corpus, traces, queries, qrels, 5)
@@ -595,53 +665,6 @@ class TestTTest:
                 assert t_p_value(t, df) == pytest.approx(
                     student_t_two_sided_p(t, df), abs=1e-10
                 )
-
-
-class TestFileLoaders:
-    def test_queries(self, tmp_path):
-        path = tmp_path / "q.tsv"
-        path.write_text("q1\thello world\nq2\ttabs\tstay in text\n")
-        queries = load_queries(str(path))
-        assert queries == {"q1": "hello world", "q2": "tabs\tstay in text"}
-
-    @pytest.mark.parametrize("line", ["q1 \thello", " q1\thello", "q 1\thello"])
-    def test_queries_id_with_whitespace(self, tmp_path, line):
-        # a qrels id is whitespace-split, so it could never match this query
-        path = tmp_path / "q.tsv"
-        path.write_text(f"q0\tfine\n{line}\n")
-        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: query_id"):
-            load_queries(str(path))
-
-    def test_queries_duplicate_id(self, tmp_path):
-        path = tmp_path / "q.tsv"
-        path.write_text("q1\ta\nq1\tb\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
-            load_queries(str(path))
-
-    def test_qrels_trec_layout(self, tmp_path):
-        path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 2\n")
-        qrels = load_qrels(str(path))
-        assert qrels == {"q1": {"d1": 1, "d2": 0}, "q2": {"d1": 2}}
-
-    def test_qrels_duplicate_pair(self, tmp_path):
-        path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d1 1\nq1 0 d1 1\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
-            load_qrels(str(path))
-
-    def test_qrels_bad_grade(self, tmp_path):
-        path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d1 x\n")
-        with pytest.raises(CorpusFormatError):
-            load_qrels(str(path))
-
-    def test_qrels_negative_grade_names_its_line(self, tmp_path):
-        path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d1 1\nq1 0 d2 -1\n")
-        expected = rf"^{re.escape(str(path))}:2: grade must be >= 0$"
-        with pytest.raises(CorpusFormatError, match=expected):
-            load_qrels(str(path))
 
 
 class TestEvaluateCheckpoints:
