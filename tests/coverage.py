@@ -1,8 +1,8 @@
 """Coverage gate: does the test suite run every executable line of src/qcrawl?
 
-    PYTHONPATH=src python3 tests/coverage.py [pytest arguments]
+    PYTHONPATH=src python3 tests/coverage.py
 
-Runs ``pytest.main`` (over ``tests/`` by default) with ``sys.settrace`` and
+Runs ``pytest.main`` over the whole of ``tests/`` with ``sys.settrace`` and
 ``threading.settrace`` set, and records each line that runs in a file of
 ``src/qcrawl``. A file's executable lines are those that ``co_lines()`` gives
 for its compiled code, nested code included. Every one must run, except a line
@@ -80,13 +80,13 @@ def gaps(reached: set[tuple[str, int]]) -> tuple[list[str], list[str], list[str]
     return unreached, marked_ran, marked
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     threading.settrace(_on_call)
     sys.settrace(_on_call)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -106,4 +106,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
