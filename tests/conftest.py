@@ -16,6 +16,14 @@ settings.register_profile(
 )
 
 
+def pytest_configure(config):
+    # The suite's warning policy, for every run of tests/ (Tier-1, tests/coverage.py and
+    # each copy that tests/mutants.py makes): a file left open, or any exception that
+    # Python can only report as "ignored", fails the test in which it happens.
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 @pytest.fixture
 def five_node_rows():
     # a -> b,c ; b -> d ; c -> d,e ; d,e leaves

@@ -13,7 +13,10 @@ cyclic garbage would fail under the gate only.
 
 Exit status: pytest's own when the suite fails, 1 when a line is left unreached
 or a marked line runs, 0 otherwise. Uses only the standard library. It is not
-part of the test suite; CI runs it as its own step.
+part of the test suite. CI runs the suite only through this gate, as
+``PYTHONPATH=src python -X dev tests/coverage.py``; the warning policy that
+makes a leaked file fail its test is set in ``tests/conftest.py``, so the gate
+needs no ``-W`` flag.
 """
 
 from __future__ import annotations

@@ -33,6 +33,23 @@ from qcrawl.corpus import atomic_write, load_graph, parse_records
 from oracles import reference_build_corpus, reference_parse_jsonl
 
 
+def test_a_bad_record_is_named_before_a_bad_edge(tmp_path):
+    # the edge list is read after the last row, so the record file's error comes first
+    records, edges = tmp_path / "records.jsonl", tmp_path / "edges.tsv"
+    records.write_text("not json\n")
+    edges.write_text("a only\n")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(records))}:1: invalid JSON"):
+        load_graph(str(records), "jsonl", str(edges))
+
+
+def test_jsonl_data_after_an_object_is_invalid(tmp_path):
+    path = tmp_path / "extra.jsonl"
+    path.write_text('{"doc_id": "a", "text": "x"} x\n')
+    with pytest.raises(CorpusFormatError) as exc:
+        load_corpus(str(path), "jsonl")
+    assert str(exc.value) == f"{path}:1: invalid JSON (Extra data)"
+
+
 def test_dangling_target_dropped_and_counted():
     rows = [{"doc_id": "a", "url": None, "text": "x", "outlinks": ["b"]}]
     corpus, graph, stats = build_corpus(rows)
